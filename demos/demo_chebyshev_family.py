@@ -12,7 +12,7 @@ Run:  python3 demos/demo_chebyshev_family.py
 """
 
 from milnor import RunConfig, analyze, canonical_spec, cc_node_count, format_polynomial
-from milnor.chebyshev import build, critical_tuples, node_count_conventions
+from milnor.chebyshev import build, critical_tuples
 
 # The defining polynomial is assembled from the Chebyshev recurrence and
 # homogenized; no x_i^(d-1) monomial survives, which is what makes the
@@ -27,7 +27,6 @@ print()
 tuples = list(critical_tuples(2, 5, spec.k))
 print(f"critical tuples for CC(2,5): {len(tuples)} nodes, e.g. {tuples[:3]}")
 print(f"closed-form count: {cc_node_count(2, 5)}")
-print(f"weighting either extremum type: {node_count_conventions(2, 5, spec.k)}")
 print()
 
 # Now the expensive route: exact linear algebra on the Jacobian strands.

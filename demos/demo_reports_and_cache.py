@@ -7,8 +7,8 @@ a fixed seed the JSON is byte-identical across runs.  Hilbert functions are
 the expensive part, so they can be cached on disk keyed by the polynomial
 and the rank configuration.  The same pipeline drives the command line:
 
-    milnor analyze --cc 3,4 --format text
-    milnor chebyshev --n 2 --degrees 3..6 --out reports/
+    milnor defects --cc 3,4 --format text
+    milnor chebyshev --n 2 --d 3..6 --out reports/
     milnor verify
 
 Run:  python3 demos/demo_reports_and_cache.py

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import asdict, fields
 from typing import Optional
 
 from .hilbert import HilbertFunction, hilbert_function
@@ -58,13 +59,10 @@ class HilbertCache:
                 data = json.load(fh)
             if data["schema"] != ENTRY_SCHEMA:
                 raise ValueError(f"schema {data['schema']}")
-            details = [RankResult(rank=r["rank"],
-                                  primes=list(r["primes"]),
-                                  ranks=list(r["ranks"]),
-                                  agreement=r["agreement"],
-                                  certified=r["certified"],
-                                  method=r["method"],
-                                  exact_verified=r["exact_verified"])
+            # every field is required: a missing "certified" must not
+            # fall back to its default of True
+            names = [f.name for f in fields(RankResult)]
+            details = [RankResult(**{name: r[name] for name in names})
                        for r in data["rank_details"]]
             return HilbertFunction(dims=list(data["dims"]),
                                    n=data["n"], d=data["d"],
@@ -86,12 +84,7 @@ class HilbertCache:
             "stable_value": hf.stable_value,
             "smooth_match": hf.smooth_match,
             "certified": hf.certified,
-            "rank_details": [{
-                "rank": r.rank, "primes": list(r.primes),
-                "ranks": list(r.ranks), "agreement": r.agreement,
-                "certified": r.certified, "method": r.method,
-                "exact_verified": r.exact_verified,
-            } for r in hf.rank_details],
+            "rank_details": [asdict(r) for r in hf.rank_details],
         }
         tmp = self.path(key) + ".tmp"
         with open(tmp, "w") as fh:

@@ -15,9 +15,8 @@ the canonical member: k = 0 for n even, k = 1 for n odd.
 
 The closed-form count assigns each of the a = (n+k)/2 minimum-coordinates
 one of the d1 = floor(d/2) minima and each remaining coordinate one of the
-maxima (d1 for odd d, d1 - 1 for even d). The alternative reading that
-swaps the two exponents is kept available for comparison; the brute-force
-tuple enumerator is the arbiter and agrees with the first reading.
+maxima (d1 for odd d, d1 - 1 for even d); the brute-force tuple
+enumerator is the arbiter and agrees with it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "critical_indices",
     "critical_tuples",
     "enumerated_node_count",
-    "node_count_conventions",
     "node_count_formula",
     "st_formula",
     "st_formula_check",
@@ -121,27 +119,6 @@ def node_count_formula(n: int, d: int, k: int) -> int:
     if d % 2 == 1:
         return comb(n, a) * d1**n
     return comb(n, a) * d1**a * (d1 - 1) ** (n - a)
-
-
-def node_count_conventions(n: int, d: int, k: int) -> dict[str, int]:
-    """Both exponent readings of the even-degree count.
-
-    "minima-weighted" gives the d1 minima to the a minimum-coordinates and
-    is the enumerator-validated reading; "maxima-weighted" swaps the
-    exponents. They coincide for odd d.
-    """
-    spec = ChebyshevSpec(n, d, k)
-    if not spec.singular:
-        return {"minima-weighted": 0, "maxima-weighted": 0}
-    a = (n + k) // 2
-    d1 = d // 2
-    if d % 2 == 1:
-        both = comb(n, a) * d1**n
-        return {"minima-weighted": both, "maxima-weighted": both}
-    return {
-        "minima-weighted": comb(n, a) * d1**a * (d1 - 1) ** (n - a),
-        "maxima-weighted": comb(n, a) * d1 ** (n - a) * (d1 - 1) ** a,
-    }
 
 
 def cc_node_count(n: int, d: int) -> int:

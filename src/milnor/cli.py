@@ -22,6 +22,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import asdict, replace
 
 from .cache import HilbertCache, cached_hilbert_function
 from .chebyshev import ChebyshevSpec, canonical_spec, cc_node_count, st_formula
@@ -86,16 +87,14 @@ def _run_config(args) -> RunConfig:
                      seed=args.seed,
                      dense_threshold=args.dense_threshold,
                      max_degree=args.max_degree,
-                     jobs=args.jobs,
-                     cache_dir=args.cache_dir,
-                     format=args.format)
+                     jobs=args.jobs)
 
 
-def _hilbert_loader(args):
+def _hilbert_loader(no_cache: bool, cache_dir):
     """Read-through cache hook for analyze(), or None when caching is off."""
-    if args.no_cache:
+    if no_cache:
         return None
-    cache = HilbertCache(args.cache_dir)
+    cache = HilbertCache(cache_dir)
 
     def loader(f, config):
         return cached_hilbert_function(f, config.rank_config(), cache,
@@ -168,9 +167,10 @@ def _cmd_analyze(args, nodal_default: bool = True) -> int:
     _check_degree_cap(n, d, args.max_degree)
     config = _run_config(args)
     nodal = nodal_default and not getattr(args, "no_nodal", False)
+    loader = _hilbert_loader(args.no_cache, args.cache_dir)
     t0 = time.time()
     report = _finish(analyze(f, source=label, config=config, nodal=nodal,
-                             hilbert_loader=_hilbert_loader(args)), args, t0)
+                             hilbert_loader=loader), args, t0)
     _emit(report.render(args.format), args,
           f"{_slug(label)}.{_EXTENSIONS[args.format]}")
     return EXIT_OK if report.certified else EXIT_UNCERTIFIED
@@ -204,14 +204,11 @@ def _parse_degree_spec(spec: str, even_only: bool) -> list[int]:
 
 
 def _grid_worker(payload):
-    spec_fields, config, use_cache, cache_dir = payload
-    spec = ChebyshevSpec(*spec_fields)
-    loader = None
-    if use_cache:
-        cache = HilbertCache(cache_dir)
-        loader = lambda f, cfg: cached_hilbert_function(
-            f, cfg.rank_config(), cache, jobs=1)
-    return analyze(chebyshev=spec, config=config, hilbert_loader=loader)
+    # the grid is already spread over processes: rank strands serially here
+    spec_fields, config, no_cache, cache_dir = payload
+    return analyze(chebyshev=ChebyshevSpec(*spec_fields),
+                   config=replace(config, jobs=1),
+                   hilbert_loader=_hilbert_loader(no_cache, cache_dir))
 
 
 def _cmd_chebyshev(args) -> int:
@@ -229,14 +226,14 @@ def _cmd_chebyshev(args) -> int:
     reports = []
     t0 = time.time()
     if args.jobs > 1 and len(specs) > 1:
-        payloads = [((s.n, s.d, s.k), config, not args.no_cache,
-                     args.cache_dir) for s in specs]
+        payloads = [((s.n, s.d, s.k), config, args.no_cache, args.cache_dir)
+                    for s in specs]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_grid_worker, p) for p in payloads]
             for fut in as_completed(futures):
                 reports.append(_finish(fut.result(), args, t0))
     else:
-        loader = _hilbert_loader(args)
+        loader = _hilbert_loader(args.no_cache, args.cache_dir)
         for spec in specs:
             reports.append(_finish(
                 analyze(chebyshev=spec, config=config, hilbert_loader=loader),
@@ -261,10 +258,7 @@ def _cmd_chebyshev(args) -> int:
     else:
         doc = {"schema": 1,
                "reports": [r.to_dict() for r in reports],
-               "verdicts": [{"name": v.name, "n": v.n, "d": v.d,
-                             "predicted": v.predicted,
-                             "computed": v.computed, "agree": v.agree,
-                             "label": v.label} for v in verdicts]}
+               "verdicts": [asdict(v) for v in verdicts]}
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     certified = all(r.certified for r in reports)
     return EXIT_OK if certified else EXIT_UNCERTIFIED
@@ -290,17 +284,16 @@ def _cmd_defects(args) -> int:
     if (args.polynomial is None) == (args.cc is None):
         raise CommandError("pass a polynomial or --cc n,d, not both")
     config = _run_config(args)
+    loader = _hilbert_loader(args.no_cache, args.cache_dir)
     spec = None
     if args.cc is not None:
         spec = _parse_cc_arg(args.cc)
         _check_degree_cap(spec.n, spec.d, args.max_degree)
-        report = analyze(chebyshev=spec, config=config,
-                         hilbert_loader=_hilbert_loader(args))
+        report = analyze(chebyshev=spec, config=config, hilbert_loader=loader)
     else:
         f, label = _read_polynomial_arg(args.polynomial, args.num_vars)
         _check_degree_cap(f.num_vars - 1, f.degree, args.max_degree)
-        report = analyze(f, source=label, config=config,
-                         hilbert_loader=_hilbert_loader(args))
+        report = analyze(f, source=label, config=config, hilbert_loader=loader)
     if report.defects is None:
         raise CommandError("no defect table for this input")
 

@@ -1,9 +1,10 @@
-"""Exact coefficient domains: rationals, prime fields, cyclotomic fields.
+"""Random primes and exact cyclotomic fields.
 
-Every domain hands out elements whose ring operators are exact and whose
-truthiness is the zero test, so they drop into SparsePolynomial and the
-elimination routines unchanged.  Cyclotomic fields Q(zeta_m) are represented
-as Q[x] modulo the m-th cyclotomic polynomial.
+Rational coefficients are plain ints and Fractions throughout.  Cyclotomic
+fields Q(zeta_m) are represented as Q[x] modulo the m-th cyclotomic
+polynomial; their elements have exact ring operators and truthiness as the
+zero test, so they drop into SparsePolynomial and the elimination routines
+unchanged.
 """
 
 from __future__ import annotations
@@ -92,161 +93,6 @@ def euler_phi(m: int) -> int:
     if n > 1:
         result -= result // n
     return result
-
-
-# -- rationals ----------------------------------------------------------------
-
-
-class RationalDomain:
-    """Characteristic-zero domain; elements are plain ints and Fractions."""
-
-    name = "QQ"
-    characteristic = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def coerce(self, x):
-        if isinstance(x, int):
-            return x
-        value = Fraction(x)
-        return int(value) if value.denominator == 1 else value
-
-    def invert(self, x):
-        value = Fraction(x)
-        if not value:
-            raise ZeroDivisionError("inverting zero")
-        inv = 1 / value
-        return int(inv) if inv.denominator == 1 else inv
-
-    def __repr__(self):
-        return "RationalDomain()"
-
-
-RATIONALS = RationalDomain()
-
-
-# -- prime fields ---------------------------------------------------------------
-
-
-class GFElement:
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _lift(self, other) -> GFElement:
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return GFElement(other, self.p)
-        if isinstance(other, Fraction):
-            num = other.numerator % self.p
-            den = other.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return GFElement(num * pow(den, -1, self.p), self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GFElement(-self.value, self.p)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return GFElement(pow(pow(self.value, -1, self.p), -e, self.p), self.p)
-        return GFElement(pow(self.value, e, self.p), self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
-class PrimeField:
-    """F_p for an odd machine prime p."""
-
-    characteristic: int
-
-    def __init__(self, p: int):
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-        self.name = f"GF({p})"
-
-    def zero(self) -> GFElement:
-        return GFElement(0, self.p)
-
-    def one(self) -> GFElement:
-        return GFElement(1, self.p)
-
-    def coerce(self, x) -> GFElement:
-        if isinstance(x, GFElement):
-            if x.p != self.p:
-                raise ValueError("mixed characteristics")
-            return x
-        if isinstance(x, int):
-            return GFElement(x, self.p)
-        if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return GFElement(x.numerator * pow(den, -1, self.p), self.p)
-        raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
-
-    def invert(self, x) -> GFElement:
-        return GFElement(pow(self.coerce(x).value, -1, self.p), self.p)
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 # -- cyclotomic fields -----------------------------------------------------------

@@ -87,7 +87,6 @@ def hilbert_function(
     up_to: int | None = None,
     config: RankConfig | None = None,
     jobs: int = 1,
-    progress=None,
 ) -> HilbertFunction:
     """Certified Hilbert function of M(f) for homogeneous f with isolated singularities.
 
@@ -113,11 +112,7 @@ def hilbert_function(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_strand_rank, [(grad, k, config) for k in ks]))
     else:
-        results = []
-        for k in ks:
-            results.append(_strand_rank((grad, k, config)))
-            if progress is not None:
-                progress(k, results[-1])
+        results = [_strand_rank((grad, k, config)) for k in ks]
     dims = [num_monomials(n + 1, k) - res.rank for k, res in zip(ks, results)]
     smooth = smooth_hilbert(n, d)
     smooth_match = all(dims[k] == smooth.dim(k) for k in ks)

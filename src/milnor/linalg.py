@@ -14,24 +14,32 @@ Engines:
   * sparse Markowitz elimination that escapes to the dense kernel when the
     active submatrix fills in;
   * Wiedemann/Berlekamp-Massey blackbox for very large sparse inputs
-    (Monte Carlo; still a lower bound, used beyond the nnz cutoff);
+    (Monte Carlo; still a lower bound, used beyond the nnz cutoff, and
+    never reported as certified);
   * fraction-free Bareiss elimination over the integers (exact, authoritative).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from .domains import RATIONALS, draw_distinct_primes
+from .domains import draw_distinct_primes
 from .monomials import monomial_index, monomials_of_degree, num_monomials
 
 PRIME_LO = 1 << 30
 PRIME_HI = 1 << 31
+
+# Engine thresholds, read only by _engine: above BLACKBOX_NNZ nonzeros the
+# Wiedemann blackbox runs; otherwise narrow or dense matrices go straight to
+# the dense kernel and the rest to Markowitz elimination.
+BLACKBOX_NNZ = 200_000
+DENSE_COLS = 700
+DENSE_DENSITY = 0.02
 
 
 class BadPrime(Exception):
@@ -84,11 +92,20 @@ def _residue(value, p: int) -> int:
     raise TypeError(f"unsupported entry type {type(value).__name__}")
 
 
-def jacobian_strand_matrix(partials, k: int, domain=RATIONALS) -> StrandMatrix:
+def _exact(value):
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"strand coefficients must be int or Fraction, "
+                    f"not {type(value).__name__}")
+
+
+def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
     """Matrix of the degree-k strand in the monomial bases.
 
     Rows are the degree-k monomials (graded-lex order).  Column i*M + j
-    multiplies generator i by the j-th degree k-d+1 monomial.
+    multiplies generator i by the j-th degree k-d+1 monomial.  Coefficients
+    must be ints or Fractions; anything else raises TypeError here rather
+    than inside a later prime loop.
     """
     if not partials:
         raise ValueError("no generators")
@@ -110,7 +127,7 @@ def jacobian_strand_matrix(partials, k: int, domain=RATIONALS) -> StrandMatrix:
         row_of = monomial_index(num_vars, k)
         for i, gen in enumerate(partials):
             base = i * len(multipliers)
-            terms = [(tuple(m), domain.coerce(c)) for m, c in gen.sorted_terms()]
+            terms = [(tuple(m), _exact(c)) for m, c in gen.sorted_terms()]
             for j, mult in enumerate(multipliers):
                 col = base + j
                 for mono, coeff in terms:
@@ -118,35 +135,6 @@ def jacobian_strand_matrix(partials, k: int, domain=RATIONALS) -> StrandMatrix:
                     row = row_of[tuple(x + y for x, y in zip(mult, mono))]
                     entries.append((row, col, coeff))
     return StrandMatrix(num_rows, num_cols, entries, k=k, d=d, n=n)
-
-
-# -- dump / load ----------------------------------------------------------------
-
-
-def dump_matrix(matrix: StrandMatrix, fh, modulus: int = 0) -> None:
-    """Text sparse-triple dump: header `rows cols nnz modulus`, 0-indexed triples."""
-    fh.write(f"{matrix.num_rows} {matrix.num_cols} {matrix.nnz} {modulus}\n")
-    for r, c, v in matrix.entries:
-        value = _residue(v, modulus) if modulus else v
-        fh.write(f"{r} {c} {value}\n")
-
-
-def load_matrix(fh) -> tuple[StrandMatrix, int]:
-    header = fh.readline().split()
-    if len(header) != 4:
-        raise ValueError("malformed header, expected `rows cols nnz modulus`")
-    num_rows, num_cols, nnz, modulus = (int(x) for x in header)
-    entries = []
-    for _ in range(nnz):
-        parts = fh.readline().split()
-        if len(parts) != 3:
-            raise ValueError("malformed triple line")
-        r, c = int(parts[0]), int(parts[1])
-        v = Fraction(parts[2]) if "/" in parts[2] else int(parts[2])
-        if not 0 <= r < num_rows or not 0 <= c < num_cols:
-            raise ValueError(f"index ({r}, {c}) out of bounds")
-        entries.append((r, c, v))
-    return StrandMatrix(num_rows, num_cols, entries), modulus
 
 
 # -- dense mod-p kernel -----------------------------------------------------------
@@ -523,20 +511,9 @@ class RankConfig:
     salt: str = ""
     dense_threshold: int = 2000
     exact_verify_cols: int = 48
-    blackbox_nnz: int = 200_000
-    force_method: str | None = None
 
     def child(self, salt: str) -> RankConfig:
-        return RankConfig(
-            primes=self.primes,
-            escalation_primes=self.escalation_primes,
-            seed=self.seed,
-            salt=salt,
-            dense_threshold=self.dense_threshold,
-            exact_verify_cols=self.exact_verify_cols,
-            blackbox_nnz=self.blackbox_nnz,
-            force_method=self.force_method,
-        )
+        return replace(self, salt=salt)
 
 
 @dataclass
@@ -550,23 +527,29 @@ class RankResult:
     exact_verified: bool = False
 
 
-def rank_mod_p(matrix: StrandMatrix, p: int, rng=None, method: str | None = None) -> int:
+def _engine(matrix: StrandMatrix) -> str:
+    """The mod-p engine for a nonempty matrix: "blackbox", "dense" or "sparse"."""
+    if matrix.nnz > BLACKBOX_NNZ:
+        return "blackbox"
+    density = matrix.nnz / (matrix.num_rows * matrix.num_cols)
+    if matrix.num_cols <= DENSE_COLS or density > DENSE_DENSITY:
+        return "dense"
+    return "sparse"
+
+
+def rank_mod_p(matrix: StrandMatrix, p: int) -> int:
     """Rank mod p, dispatching on size; raises BadPrime if p kills a denominator."""
     if matrix.num_rows == 0 or matrix.num_cols == 0 or not matrix.entries:
         return 0
-    if method is None:
-        method = "blackbox-iterative" if matrix.nnz > 200_000 else "sparse-elimination"
-    if method == "blackbox-iterative":
-        rows_idx, cols_idx, vals = matrix.triples_modp(p)
-        if rng is None:
-            rng = random.Random(f"blackbox|{p}|{matrix.num_rows}x{matrix.num_cols}")
+    engine = _engine(matrix)
+    if engine == "dense":
+        return rank_dense_modp(matrix.dense_modp(p), p)
+    rows_idx, cols_idx, vals = matrix.triples_modp(p)
+    if engine == "blackbox":
+        rng = random.Random(f"blackbox|{p}|{matrix.num_rows}x{matrix.num_cols}")
         return rank_blackbox_modp(
             matrix.num_rows, matrix.num_cols, rows_idx, cols_idx, vals, p, rng
         )
-    density = matrix.nnz / (matrix.num_rows * matrix.num_cols)
-    if matrix.num_cols <= 700 or density > 0.02:
-        return rank_dense_modp(matrix.dense_modp(p), p)
-    rows_idx, cols_idx, vals = matrix.triples_modp(p)
     return rank_sparse_modp(matrix.num_rows, matrix.num_cols, rows_idx, cols_idx, vals, p)
 
 
@@ -577,16 +560,16 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None) -> Ra
     per-prime disagreement escalates to `escalation_primes`, then falls back
     to exact fraction-free elimination when the matrix is small enough.  The
     exact path also runs unconditionally below exact_verify_cols, and its
-    value is authoritative.
+    value is authoritative.  A Wiedemann rank is a Monte Carlo lower bound
+    that is never checked exactly, so it is reported uncertified even when
+    every prime agrees.
     """
     if config is None:
         config = RankConfig()
     if matrix.num_rows == 0 or matrix.num_cols == 0 or not matrix.entries:
         return RankResult(rank=0, method="sparse-elimination")
     rng = random.Random(f"{config.seed}|{config.salt}")
-    method = config.force_method
-    if method is None:
-        method = "blackbox-iterative" if matrix.nnz > config.blackbox_nnz else "sparse-elimination"
+    blackbox = _engine(matrix) == "blackbox"
 
     primes: list[int] = []
     ranks: list[int] = []
@@ -597,7 +580,7 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None) -> Ra
             (p,) = draw_distinct_primes(rng, 1, exclude=seen)
             seen.add(p)
             try:
-                r = rank_mod_p(matrix, p, method=method)
+                r = rank_mod_p(matrix, p)
             except BadPrime:
                 continue
             primes.append(p)
@@ -610,12 +593,13 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None) -> Ra
         agreement = len(set(ranks)) == 1
 
     rank = max(ranks)
-    certified = agreement
+    method = "blackbox-iterative" if blackbox else "sparse-elimination"
+    certified = agreement and not blackbox
     exact_verified = False
     need_exact = matrix.num_cols <= config.exact_verify_cols or (
         not agreement and matrix.num_cols <= config.dense_threshold
     )
-    if need_exact and method != "blackbox-iterative":
+    if need_exact and not blackbox:
         rank = rank_exact(matrix)
         method = "dense-fraction-free"
         certified = True

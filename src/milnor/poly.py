@@ -2,7 +2,7 @@
 
 Coefficients are plain Python ints or fractions.Fraction by default; any
 coefficient type with ring operators and truthiness (zero tests as falsy)
-works, so prime-field and cyclotomic elements plug in unchanged.
+works, so cyclotomic field elements plug in unchanged.
 
 The text format is `coeff*x<i>^<e>*...` terms joined by +/-, e.g.
 ``8*x1^4 - 8*x1^2*x0^2 + 2*x0^4``.  The printer emits a canonical order

@@ -15,7 +15,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .chebyshev import (ChebyshevSpec, ConjectureVerdict, build,
@@ -45,8 +45,6 @@ class RunConfig:
     dense_threshold: int = 2000
     max_degree: Optional[int] = 20
     jobs: int = 1
-    cache_dir: Optional[str] = None
-    format: str = "json"  # json, csv, or text
 
     def rank_config(self) -> RankConfig:
         return RankConfig(primes=self.primes,
@@ -134,19 +132,9 @@ class HypersurfaceReport:
                 "trivial": self.alexander.trivial,
                 "text": self.alexander.text(),
             } if self.alexander else None,
-            "betti": {
-                "index": self.betti.index,
-                "value": self.betti.value,
-                "space": self.betti.space,
-                "defect_degree": self.betti.defect_degree,
-            } if self.betti else None,
-            "checks": [{"name": c.name, "status": c.status, "lhs": c.lhs,
-                        "rhs": c.rhs, "detail": c.detail}
-                       for c in self.checks],
-            "conjectures": [{"name": v.name, "n": v.n, "d": v.d,
-                             "predicted": v.predicted, "computed": v.computed,
-                             "agree": v.agree, "label": v.label}
-                            for v in self.conjectures],
+            "betti": asdict(self.betti) if self.betti else None,
+            "checks": [asdict(c) for c in self.checks],
+            "conjectures": [asdict(v) for v in self.conjectures],
             "certification": {
                 "certified": self.certified,
                 "rank_details": rank_details,

@@ -7,8 +7,8 @@ import pytest
 from milnor.chebyshev import (ChebyshevSpec, build, canonical_spec,
                               cc_node_count, critical_indices,
                               critical_tuples, enumerated_node_count,
-                              node_count_conventions, node_count_formula,
-                              st_formula, st_formula_check, verify_conjectures)
+                              node_count_formula, st_formula,
+                              st_formula_check, verify_conjectures)
 from milnor.poly import (chebyshev_poly, dehomogenize, format_polynomial,
                          parse_polynomial)
 
@@ -92,14 +92,6 @@ def test_formula_matches_enumeration_grid():
                 formula = node_count_formula(n, d, k)
                 counted = enumerated_node_count(n, d, k)
                 assert formula == counted, (n, d, k)
-
-
-def test_node_count_conventions_disagree():
-    # the two readings differ exactly when minima and maxima counts differ
-    conv = node_count_conventions(3, 4, 1)
-    assert conv == {"minima-weighted": 12, "maxima-weighted": 6}
-    conv = node_count_conventions(4, 4, 0)
-    assert conv["minima-weighted"] == conv["maxima-weighted"] == 24
 
 
 def test_cc_node_count_known_values():

@@ -1,4 +1,4 @@
-"""Domains: primality, prime fields, cyclotomic arithmetic."""
+"""Domains: primality, random primes, cyclotomic arithmetic."""
 
 from __future__ import annotations
 
@@ -6,12 +6,8 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from milnor.domains import (
     CyclotomicField,
-    PrimeField,
-    RATIONALS,
     cyclotomic_polynomial,
     draw_distinct_primes,
     euler_phi,
@@ -59,35 +55,6 @@ def test_euler_phi():
     known = {1: 1, 2: 1, 4: 2, 6: 2, 8: 4, 10: 4, 12: 4, 16: 8, 14: 6, 30: 8}
     for m, v in known.items():
         assert euler_phi(m) == v
-
-
-def test_rational_domain():
-    assert RATIONALS.coerce("3/6") == Fraction(1, 2)
-    assert RATIONALS.coerce(Fraction(4, 2)) == 2
-    assert isinstance(RATIONALS.coerce(Fraction(4, 2)), int)
-    assert RATIONALS.invert(Fraction(2, 3)) == Fraction(3, 2)
-    assert RATIONALS.zero() == 0 and RATIONALS.one() == 1
-
-
-def test_prime_field_ops():
-    field = PrimeField(101)
-    a = field.coerce(57)
-    b = field.coerce(-3)
-    assert a + b == 54
-    assert a * b == (57 * -3) % 101
-    assert (a / b) * b == a
-    assert field.coerce(Fraction(1, 2)) * 2 == 1
-    assert not field.zero()
-    assert field.one() and field.one() == 1
-    assert a**0 == 1 and a**-1 * a == 1
-
-
-def test_prime_field_rejects():
-    with pytest.raises(ValueError):
-        PrimeField(100)
-    field = PrimeField(7)
-    with pytest.raises(ZeroDivisionError):
-        field.coerce(Fraction(1, 7))
 
 
 def test_cyclotomic_polynomials_known():

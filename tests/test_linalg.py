@@ -1,20 +1,18 @@
 """Rank engines cross-checked against a naive reference and each other."""
 
-import io
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from milnor import linalg
 from milnor.linalg import (
     RankConfig,
     StrandMatrix,
     berlekamp_massey_modp,
     certified_rank,
-    dump_matrix,
     jacobian_strand_matrix,
-    load_matrix,
     matmul_modp,
     rank_blackbox_modp,
     rank_dense_modp,
@@ -23,7 +21,7 @@ from milnor.linalg import (
     rank_mod_p,
     rank_sparse_modp,
 )
-from milnor.poly import parse_polynomial, partial_derivatives
+from milnor.poly import SparsePolynomial, parse_polynomial, partial_derivatives
 
 
 def naive_rank_modp(a, p):
@@ -107,6 +105,10 @@ def test_sparse_rank_matches_naive():
         got2 = rank_sparse_modp(m, n, rows_idx, cols_idx, vals, p,
                                 escape_density=0.0, escape_cols=10**6)
         assert got2 == want
+        # never escape: the Markowitz pivot loop does all the work
+        got3 = rank_sparse_modp(m, n, rows_idx, cols_idx, vals, p,
+                                escape_density=1.0, escape_cols=0)
+        assert got3 == want
 
 
 def test_blackbox_rank_lower_bound_and_typical_exactness():
@@ -167,19 +169,39 @@ def test_exact_rank_matches_modular_and_field():
                                 for row in rows], p) == want
 
 
-def test_rank_mod_p_dispatch_consistency():
+def test_rank_mod_p_dispatch_consistency(monkeypatch):
     rng = random.Random(9)
     p = 2147482763
+    # dense side of the thresholds: narrow matrices
     for _ in range(20):
         m = rng.randrange(2, 16)
         n = rng.randrange(2, 16)
         a = random_matrix(rng, m, n, p, density=0.4)
         sm = to_triplets(a)
-        want = naive_rank_modp(a, p)
-        for method in ("dense", "sparse"):
-            assert rank_mod_p(sm, p, rng=random.Random(1), method=method) == want
-        if sm.entries:
-            assert rank_mod_p(sm, p, rng=random.Random(1), method="blackbox") <= want
+        assert linalg._engine(sm) == "dense"
+        assert rank_mod_p(sm, p) == naive_rank_modp(a, p)
+    # Markowitz side: wide and sparse
+    a = random_matrix(rng, 40, 900, p, density=0.01)
+    sm = to_triplets(a)
+    assert linalg._engine(sm) == "sparse"
+    want = naive_rank_modp(a, p)
+    assert rank_mod_p(sm, p) == want
+    # Wiedemann side: every nonzero counts as too many
+    monkeypatch.setattr(linalg, "BLACKBOX_NNZ", 0)
+    assert linalg._engine(sm) == "blackbox"
+    assert rank_mod_p(sm, p) <= want
+
+
+def test_blackbox_rank_is_never_certified(monkeypatch):
+    rng = random.Random(13)
+    a = random_matrix(rng, 12, 10, 1000, density=0.5, rank_cap=6)
+    sm = to_triplets(a)
+    monkeypatch.setattr(linalg, "BLACKBOX_NNZ", 0)
+    res = certified_rank(sm, RankConfig(seed=0))
+    assert res.method == "blackbox-iterative"
+    assert res.agreement and not res.certified
+    assert not res.exact_verified  # below exact_verify_cols, still not exact
+    assert res.rank <= rank_exact(sm)
 
 
 def test_certified_rank_determinism_and_exact_verify():
@@ -217,26 +239,11 @@ def test_jacobian_strand_shapes_and_ranks():
     assert certified_rank(sm2, RankConfig(seed=0)).rank == 0
 
 
-def test_dump_load_round_trip():
-    rng = random.Random(12)
-    a = random_matrix(rng, 7, 9, 997, density=0.3)
-    sm = to_triplets(a)
-    buf = io.StringIO()
-    dump_matrix(sm, buf, modulus=997)
-    text = buf.getvalue()
-    header = text.splitlines()[0].split()
-    assert header == [str(sm.num_rows), str(sm.num_cols), str(sm.nnz), "997"]
-    back, modulus = load_matrix(io.StringIO(text))
-    assert modulus == 997
-    assert back.num_rows == sm.num_rows and back.num_cols == sm.num_cols
-    assert sorted(back.entries) == sorted((r, c, v % 997) for r, c, v in sm.entries)
-
-
 def test_fractional_entries_modular_reduction():
     sm = StrandMatrix(2, 2, [(0, 0, Fraction(1, 2)), (0, 1, 3),
                              (1, 0, Fraction(1, 2)), (1, 1, 3)])
     p = 2147483029
-    assert rank_mod_p(sm, p, rng=random.Random(0), method="dense") == 1
+    assert rank_mod_p(sm, p) == 1
     assert rank_exact(sm) == 1
 
 
@@ -245,3 +252,9 @@ def test_bad_prime_denominator_rejected():
     res = certified_rank(sm, RankConfig(seed=0))
     assert res.rank == 1
     assert all(p != 7 for p in res.primes)
+
+
+def test_strand_rejects_inexact_coefficients():
+    f = SparsePolynomial(3, {(2, 0, 0): 1.5, (0, 2, 0): 1, (0, 0, 2): 1})
+    with pytest.raises(TypeError, match="float"):
+        jacobian_strand_matrix(partial_derivatives(f, 2), 1)

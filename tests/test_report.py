@@ -1,5 +1,6 @@
 """Report assembly, lint, serialization, and the Hilbert-function cache."""
 
+import hashlib
 import json
 import time
 
@@ -42,6 +43,22 @@ def test_json_byte_identical_under_seed():
     c = analyze(f, source="kummer", config=RunConfig(seed=6)).to_json()
     assert c != a  # recorded primes differ
     assert json.loads(c)["thresholds"] == json.loads(a)["thresholds"]
+
+
+def test_frozen_bytes_seed0(tmp_path):
+    # sha256 and size of the seed-0 Kummer report and of its cache entry;
+    # a change here changes what users get on disk, so it must be deliberate
+    f = parse_polynomial(KUMMER_TEXT, num_vars=4)
+    config = RunConfig(seed=0)
+    text = analyze(f, source="kummer", config=config).to_json().encode()
+    assert (hashlib.sha256(text).hexdigest(), len(text)) == (
+        "f1dd05032a7dee3bd7ecca4f414e07c54cfd17698f473b5918177d94fd712217", 5008)
+    cache = HilbertCache(str(tmp_path))
+    cached_hilbert_function(f, config.rank_config(), cache)
+    with open(cache.path(cache_key(f, None, config.rank_config())), "rb") as fh:
+        entry = fh.read()
+    assert (hashlib.sha256(entry).hexdigest(), len(entry)) == (
+        "9cf04f2ba49dfd5cee2f69998030307ebf98435c09ebbf285c97d239ecde96a5", 1830)
 
 
 def test_csv_column_layout(kummer):
@@ -144,6 +161,21 @@ def test_cache_corrupt_entry_skipped(tmp_path):
         hf2 = cached_hilbert_function(f, cfg, cache)
     assert hf2.dims == hf.dims
     assert cache.load(key).dims == hf.dims  # rewritten cleanly
+
+
+def test_cache_entry_missing_field_skipped(tmp_path):
+    f = parse_polynomial("x0^3 + x1^3 + x2^3", num_vars=3)
+    cache = HilbertCache(str(tmp_path))
+    cfg = RankConfig(seed=0)
+    cached_hilbert_function(f, cfg, cache)
+    key = cache_key(f, None, cfg)
+    with open(cache.path(key)) as fh:
+        data = json.load(fh)
+    del data["rank_details"][3]["certified"]
+    with open(cache.path(key), "w") as fh:
+        json.dump(data, fh)
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert cache.load(key) is None
 
 
 def test_cache_inspect_and_clear(tmp_path):
