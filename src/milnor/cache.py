@@ -1,10 +1,12 @@
 """Content-addressed cache for certified Hilbert functions.
 
 The cache key hashes the canonical polynomial text together with every
-configuration field that influences the certificate (prime count,
-escalation count, seed), so changing the seed or the polynomial gives a
-different entry while performance knobs reuse the same one. Entries are
-small JSON files; a corrupt entry is skipped with a warning and recomputed.
+configuration field that influences the stored ranks or their certificate
+(prime count, escalation count, seed, and the exact-elimination cutoffs
+dense_threshold and exact_verify_cols, which decide method, exact_verified
+and certified), so changing any of them gives a different entry. Entries
+are small JSON files; a corrupt entry is skipped with a warning and
+recomputed.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ def cache_key(f: SparsePolynomial, up_to: Optional[int],
         "primes": config.primes,
         "escalation_primes": config.escalation_primes,
         "seed": config.seed,
+        "dense_threshold": config.dense_threshold,
+        "exact_verify_cols": config.exact_verify_cols,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

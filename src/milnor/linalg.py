@@ -8,7 +8,10 @@ maximum over primes is a certified lower bound, and agreement across
 independent primes certifies the value (escalating to more primes and then
 to exact fraction-free elimination on disagreement).
 
-Engines:
+Every rank is the sum of the ranks of the matrix's blocks: the connected
+components of the bipartite row-column graph of its nonzero entries, found
+once per matrix.  Jacobian strands of symmetric forms such as CC(n,d) fall
+apart into many such blocks, and each block gets its own engine:
   * dense mod-p elimination, blocked so the trailing updates run as
     16-bit-split float64 BLAS matmuls (exact for p < 2^31);
   * sparse Markowitz elimination that escapes to the dense kernel when the
@@ -24,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -34,12 +38,15 @@ from .monomials import monomial_index, monomials_of_degree, num_monomials
 PRIME_LO = 1 << 30
 PRIME_HI = 1 << 31
 
-# Engine thresholds, read only by _engine: above BLACKBOX_NNZ nonzeros the
-# Wiedemann blackbox runs; otherwise narrow or dense matrices go straight to
-# the dense kernel and the rest to Markowitz elimination.
+# Engine thresholds, applied by _engine to each block: above BLACKBOX_NNZ
+# nonzeros the Wiedemann blackbox runs; otherwise narrow or dense blocks go
+# straight to the dense kernel and the rest to Markowitz elimination.
+# DENSE_COLS and ESCAPE_DENSITY are also the defaults at which Markowitz
+# elimination hands its active submatrix to the dense kernel.
 BLACKBOX_NNZ = 200_000
 DENSE_COLS = 700
 DENSE_DENSITY = 0.02
+ESCAPE_DENSITY = 0.04
 
 
 class BadPrime(Exception):
@@ -63,6 +70,42 @@ class StrandMatrix:
     @property
     def nnz(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def blocks(self) -> list[StrandMatrix]:
+        """The connected components of the bipartite row-column graph.
+
+        Each block keeps its rows, columns and entries in their original
+        order, reindexed to 0..; empty rows and columns belong to no block.
+        The list is [self] when the matrix is one block with no empty row
+        or column.  It is computed once, so entries must not change after.
+        """
+        m = self.num_rows
+        parent = list(range(m + self.num_cols))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for r, c, _ in self.entries:
+            a, b = find(r), find(m + c)
+            if a != b:
+                parent[a] = b
+        members: dict[int, list] = {}
+        for entry in self.entries:
+            members.setdefault(find(entry[0]), []).append(entry)
+        out = []
+        for entries in members.values():
+            row_ix = {r: i for i, r in enumerate(sorted({e[0] for e in entries}))}
+            col_ix = {c: i for i, c in enumerate(sorted({e[1] for e in entries}))}
+            if len(members) == 1 and len(row_ix) == m and len(col_ix) == self.num_cols:
+                return [self]
+            out.append(StrandMatrix(
+                len(row_ix), len(col_ix),
+                [(row_ix[r], col_ix[c], v) for r, c, v in entries],
+                k=self.k, d=self.d, n=self.n))
+        return out
 
     def dense_modp(self, p: int) -> np.ndarray:
         out = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
@@ -223,8 +266,8 @@ def rank_dense_modp(a: np.ndarray, p: int, block: int = 48,
 
 
 def rank_sparse_modp(num_rows: int, num_cols: int, rows_idx, cols_idx, vals,
-                     p: int, escape_density: float = 0.04,
-                     escape_cols: int = 700) -> int:
+                     p: int, escape_density: float = ESCAPE_DENSITY,
+                     escape_cols: int = DENSE_COLS) -> int:
     """Markowitz-pivoted sparse elimination mod p with a dense escape hatch.
 
     Pivots greedily by Markowitz cost (nnz_row - 1) * (nnz_col - 1) over the
@@ -408,10 +451,13 @@ def rank_blackbox_modp(num_rows: int, num_cols: int, rows_idx, cols_idx, vals,
 
 
 def rank_exact(matrix: StrandMatrix) -> int:
+    """Rank over the rationals: the sum of the blocks' Bareiss ranks."""
+    return sum(_rank_bareiss(block) for block in matrix.blocks)
+
+
+def _rank_bareiss(matrix: StrandMatrix) -> int:
     """Rank over the rationals by integer fraction-free (Bareiss) elimination."""
     m, n = matrix.num_rows, matrix.num_cols
-    if m == 0 or n == 0 or not matrix.entries:
-        return 0
     dense: list[list] = [[0] * n for _ in range(m)]
     for r, c, v in matrix.entries:
         dense[r][c] += v
@@ -538,19 +584,24 @@ def _engine(matrix: StrandMatrix) -> str:
 
 
 def rank_mod_p(matrix: StrandMatrix, p: int) -> int:
-    """Rank mod p, dispatching on size; raises BadPrime if p kills a denominator."""
-    if matrix.num_rows == 0 or matrix.num_cols == 0 or not matrix.entries:
-        return 0
-    engine = _engine(matrix)
+    """Rank mod p, the sum over the blocks of each block's engine rank.
+
+    Raises BadPrime if p kills a denominator.
+    """
+    return sum(_rank_block_mod_p(block, p) for block in matrix.blocks)
+
+
+def _rank_block_mod_p(block: StrandMatrix, p: int) -> int:
+    engine = _engine(block)
     if engine == "dense":
-        return rank_dense_modp(matrix.dense_modp(p), p)
-    rows_idx, cols_idx, vals = matrix.triples_modp(p)
+        return rank_dense_modp(block.dense_modp(p), p)
+    rows_idx, cols_idx, vals = block.triples_modp(p)
     if engine == "blackbox":
-        rng = random.Random(f"blackbox|{p}|{matrix.num_rows}x{matrix.num_cols}")
+        rng = random.Random(f"blackbox|{p}|{block.num_rows}x{block.num_cols}")
         return rank_blackbox_modp(
-            matrix.num_rows, matrix.num_cols, rows_idx, cols_idx, vals, p, rng
+            block.num_rows, block.num_cols, rows_idx, cols_idx, vals, p, rng
         )
-    return rank_sparse_modp(matrix.num_rows, matrix.num_cols, rows_idx, cols_idx, vals, p)
+    return rank_sparse_modp(block.num_rows, block.num_cols, rows_idx, cols_idx, vals, p)
 
 
 def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None) -> RankResult:
@@ -560,16 +611,17 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None) -> Ra
     per-prime disagreement escalates to `escalation_primes`, then falls back
     to exact fraction-free elimination when the matrix is small enough.  The
     exact path also runs unconditionally below exact_verify_cols, and its
-    value is authoritative.  A Wiedemann rank is a Monte Carlo lower bound
-    that is never checked exactly, so it is reported uncertified even when
-    every prime agrees.
+    value is authoritative.  When any block goes to Wiedemann the rank is a
+    Monte Carlo lower bound that is never checked exactly, so it is labelled
+    blackbox-iterative and reported uncertified even when every prime
+    agrees.
     """
     if config is None:
         config = RankConfig()
     if matrix.num_rows == 0 or matrix.num_cols == 0 or not matrix.entries:
         return RankResult(rank=0, method="sparse-elimination")
     rng = random.Random(f"{config.seed}|{config.salt}")
-    blackbox = _engine(matrix) == "blackbox"
+    blackbox = any(_engine(block) == "blackbox" for block in matrix.blocks)
 
     primes: list[int] = []
     ranks: list[int] = []

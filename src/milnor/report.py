@@ -98,15 +98,13 @@ class HypersurfaceReport:
 
     def to_dict(self) -> dict:
         t = self.thresholds
-        rank_details = []
-        for k, r in enumerate(self.hilbert.rank_details):
-            rank_details.append({
-                "k": k,
-                "primes": list(r.primes),
-                "ranks": list(r.ranks),
-                "method": r.method,
-                "exact_verified": r.exact_verified,
-            })
+        # each row keeps the per-prime evidence; rank follows from
+        # hilbert.dims, agreement from ranks, certified is summed up in
+        # certification.certified
+        rank_details = [
+            {"k": k, **{key: value for key, value in asdict(r).items()
+                        if key not in ("rank", "agreement", "certified")}}
+            for k, r in enumerate(self.hilbert.rank_details)]
         return {
             "schema": SCHEMA_VERSION,
             "source": self.source,

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import KUMMER_TEXT
 from milnor import linalg
+from milnor.chebyshev import build, canonical_spec
 from milnor.linalg import (
     RankConfig,
     StrandMatrix,
@@ -180,16 +182,133 @@ def test_rank_mod_p_dispatch_consistency(monkeypatch):
         sm = to_triplets(a)
         assert linalg._engine(sm) == "dense"
         assert rank_mod_p(sm, p) == naive_rank_modp(a, p)
-    # Markowitz side: wide and sparse
-    a = random_matrix(rng, 40, 900, p, density=0.01)
+    # Markowitz side: one connected block, wide and sparse.  Column j has an
+    # entry in row j % 60, and columns 0..58 also in row j + 1, which chains
+    # every row together: 959 nonzeros in 60 x 900, density under 0.018.
+    m, n = 60, 900
+    a = [[0] * n for _ in range(m)]
+    for j in range(n):
+        a[j % m][j] = rng.randrange(1, p)
+        if j < m - 1:
+            a[j + 1][j] = rng.randrange(1, p)
     sm = to_triplets(a)
+    assert sm.blocks == [sm]
+    assert sm.num_cols > linalg.DENSE_COLS
+    assert sm.nnz <= linalg.DENSE_DENSITY * m * n
     assert linalg._engine(sm) == "sparse"
     want = naive_rank_modp(a, p)
-    assert rank_mod_p(sm, p) == want
+    assert _rank_with_spy(monkeypatch, "rank_sparse_modp", sm, p) == want
     # Wiedemann side: every nonzero counts as too many
     monkeypatch.setattr(linalg, "BLACKBOX_NNZ", 0)
     assert linalg._engine(sm) == "blackbox"
-    assert rank_mod_p(sm, p) <= want
+    assert _rank_with_spy(monkeypatch, "rank_blackbox_modp", sm, p) <= want
+
+
+def _rank_with_spy(monkeypatch, engine, sm, p):
+    """rank_mod_p(sm, p), asserting that the named engine function ran."""
+    calls = []
+    original = getattr(linalg, engine)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, engine, spy)
+    rank = rank_mod_p(sm, p)
+    assert calls, f"{engine} did not run"
+    return rank
+
+
+def _block_diagonal(rng, sizes, density):
+    """Random blocks of the given shapes, rows and columns then shuffled.
+
+    Every value is distinct, so an entry of a block names its original
+    (row, col); returns the matrix, that map and the dense rows.
+    """
+    m = sum(r for r, _ in sizes)
+    n = sum(c for _, c in sizes)
+    row_perm = rng.sample(range(m), m)
+    col_perm = rng.sample(range(n), n)
+    values = iter(rng.sample(range(1, 10**6), m * n))
+    dense = [[0] * n for _ in range(m)]
+    r0 = c0 = 0
+    for rows, cols in sizes:
+        for i in range(r0, r0 + rows):
+            for j in range(c0, c0 + cols):
+                if rng.random() < density:
+                    dense[row_perm[i]][col_perm[j]] = next(values)
+        r0 += rows
+        c0 += cols
+    sm = to_triplets(dense)
+    return sm, {v: (r, c) for r, c, v in sm.entries}, dense
+
+
+def _connected(block):
+    """Whether the bipartite row-column graph of block is connected."""
+    seen_rows, seen_cols = {0}, set()
+    frontier = [("r", 0)]
+    while frontier:
+        kind, i = frontier.pop()
+        for r, c, _ in block.entries:
+            if kind == "r" and r == i and c not in seen_cols:
+                seen_cols.add(c)
+                frontier.append(("c", c))
+            elif kind == "c" and c == i and r not in seen_rows:
+                seen_rows.add(r)
+                frontier.append(("r", r))
+    return len(seen_rows) == block.num_rows and len(seen_cols) == block.num_cols
+
+
+def test_blocks_partition_and_ranks():
+    rng = random.Random(14)
+    for trial in range(25):
+        p = rng.choice([101, 2147482801])
+        sizes = [(rng.randrange(1, 7), rng.randrange(1, 7))
+                 for _ in range(rng.randrange(1, 6))]
+        sm, origin, dense = _block_diagonal(rng, sizes, rng.uniform(0.2, 0.9))
+        blocks = sm.blocks
+        # every entry in exactly one block; no row or column in two blocks
+        found = [origin[v] for b in blocks for _, _, v in b.entries]
+        assert sorted(found) == sorted(origin.values())
+        rows = [{origin[v][0] for _, _, v in b.entries} for b in blocks]
+        cols = [{origin[v][1] for _, _, v in b.entries} for b in blocks]
+        assert sum(map(len, rows)) == len(set().union(*rows))
+        assert sum(map(len, cols)) == len(set().union(*cols))
+        for b, rs, cs in zip(blocks, rows, cols):
+            assert (b.num_rows, b.num_cols) == (len(rs), len(cs))
+            assert _connected(b)
+        assert rank_mod_p(sm, p) == naive_rank_modp(dense, p)
+        field_rows = [[Fraction(v) for v in row] for row in dense]
+        assert rank_exact(sm) == rank_gaussian_field(field_rows, zero=Fraction(0))
+
+
+def test_blocks_of_symmetric_strands():
+    f = parse_polynomial(KUMMER_TEXT, num_vars=4)
+    assert len(jacobian_strand_matrix(partial_derivatives(f, 4), 9).blocks) == 8
+    cc44 = build(canonical_spec(4, 4))
+    assert len(jacobian_strand_matrix(partial_derivatives(cc44, 4), 11).blocks) == 16
+    # a single block with no empty row or column is the matrix itself
+    sm = StrandMatrix(2, 2, [(0, 0, 1), (0, 1, 2), (1, 1, 3)])
+    assert sm.blocks == [sm] and sm.blocks[0] is sm
+    assert StrandMatrix(3, 0, []).blocks == []
+
+
+def test_wide_matrix_with_few_nonempty_columns_goes_dense(monkeypatch):
+    # 40 x 900 at density 0.01: about 314 nonempty columns, well under
+    # DENSE_COLS, so every block is ranked by the dense kernel at once
+    rng = random.Random(15)
+    p = 2147482763
+    a = random_matrix(rng, 40, 900, p, density=0.01)
+    sm = to_triplets(a)
+    assert sm.num_cols > linalg.DENSE_COLS
+    assert len({c for _, c, _ in sm.entries}) <= linalg.DENSE_COLS
+    assert linalg._engine(sm) == "sparse"  # as a whole it would be Markowitz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank_sparse_modp called")
+
+    monkeypatch.setattr(linalg, "rank_sparse_modp", refuse)
+    assert rank_mod_p(sm, p) == naive_rank_modp(a, p)
 
 
 def test_blackbox_rank_is_never_certified(monkeypatch):

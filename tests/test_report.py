@@ -146,6 +146,9 @@ def test_cache_key_sensitivity():
     assert cache_key(f, None, RankConfig(seed=1)) != base
     assert cache_key(f, None, RankConfig(seed=0, primes=5)) != base
     assert cache_key(g, None, RankConfig(seed=0)) != base
+    # both cutoffs decide method, exact_verified and certified
+    assert cache_key(f, None, RankConfig(seed=0, dense_threshold=0)) != base
+    assert cache_key(f, None, RankConfig(seed=0, exact_verify_cols=0)) != base
     assert cache_key(f, None, RankConfig(seed=0)) == base
 
 
