@@ -372,7 +372,7 @@ class CyclotomicField:
         step = self.order // (2 * denominator)
         z = self.zeta(step * j)
         zbar = self.zeta(self.order - step * j % self.order)
-        return (z + zbar) / 2
+        return (z + zbar) * Fraction(1, 2)
 
     def __repr__(self):
         return f"CyclotomicField({self.order})"

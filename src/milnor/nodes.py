@@ -11,12 +11,21 @@ polynomials of degree <= k at x_0 = 1 (every node of CC(n,d) is affine;
 the top-degree part is a scaled Fermat form, smooth at infinity).
 
 Node coordinates cos(j*pi/d) live in the cyclotomic field of order 2d as
-(zeta^j + zeta^(2d-j))/2, so all arithmetic is exact. Ranks go through a
-fast path over prime fields F_p with p = 1 (mod 2d), where the field
-embeds by sending zeta to an element of exact multiplicative order 2d;
-any modular rank is a lower bound on the true rank, and agreement across
-independent primes certifies it. Small matrices are settled outright by
-exact cyclotomic elimination, which is authoritative when it runs.
+(zeta^j + zeta^(2d-j))/2, so the nodes are exact.  Ranks are computed
+over prime fields F_p with p = 1 (mod 2d), where the field embeds by
+sending zeta to an element of exact multiplicative order 2d, and every
+rank returned is proved from those modular ranks alone:
+
+- a modular rank never exceeds the rank over Q(zeta_2d), so one prime
+  whose rank is min(rows, cols) proves it;
+- otherwise let R' be the largest modular rank and s = R' + 1.  Scaling
+  column c by 2^deg(c) makes its entries algebraic integers whose
+  conjugates all have absolute value <= 2^deg(c), so by Hadamard a
+  nonzero s x s minor has norm at most
+  (s^(s/2) * 2^(sum of the s largest column degrees))^phi(2d).  Each
+  prime p > 2^30 whose rank drops puts that minor in a distinct prime
+  ideal of norm p, so more primes than log2(bound)/30 cannot all drop,
+  and the rank is R'.
 
 This module never touches the Jacobian-strand route, so agreement between
 the two is a genuine end-to-end check.
@@ -26,14 +35,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from math import comb
+from functools import cached_property
 
 import numpy as np
 
 from .chebyshev import ChebyshevSpec, build, canonical_spec, critical_tuples
 from .domains import CyclotomicElement, CyclotomicField, draw_distinct_primes
-from .linalg import BadPrime, rank_dense_modp, rank_gaussian_field
+from .linalg import BadPrime, rank_dense_modp
 from .monomials import monomials_of_degree
 from .poly import SparsePolynomial, partial_derivatives
 
@@ -181,28 +189,33 @@ class EvaluationMatrix:
     def num_cols(self) -> int:
         return len(self.columns)
 
+    @cached_property
+    def _cosines(self) -> list[CyclotomicElement]:
+        """Exact cos(j*pi/d) for j = 0..d-1, indexed by j."""
+        return [self.field.cos_root(j, self.d) for j in range(self.d)]
+
     def rows_modp(self, p: int, rng: random.Random | None = None) -> np.ndarray:
         emb = modular_embedding(self.field, p, rng)
-        cos_img = {j: emb(self.field.cos_root(j, self.d))
-                   for j in range(1, self.d)}
-        out = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
-        for i, js in enumerate(self.node_tuples):
-            powers = [[1] * (self.r + 1) for _ in range(self.n)]
-            for v, j in enumerate(js):
-                base = cos_img[j]
-                for e in range(1, self.r + 1):
-                    powers[v][e] = powers[v][e - 1] * base % p
-            row = out[i]
-            for c, exps in enumerate(self.columns):
-                val = 1
-                for v, e in enumerate(exps):
-                    if e:
-                        val = val * powers[v][e] % p
-                row[c] = val
+        powers = []
+        for cos in self._cosines:
+            base = emb(cos)
+            row = [1]
+            for _ in range(self.r):
+                row.append(row[-1] * base % p)
+            powers.append(row)
+        table = np.array(powers, dtype=np.int64)
+        nodes = np.array(self.node_tuples, dtype=np.intp).reshape(
+            self.num_rows, self.n)
+        exps = np.array(self.columns, dtype=np.intp).reshape(
+            self.num_cols, self.n)
+        # entries stay below p < 2^31, so each product is below 2^62
+        out = np.ones((self.num_rows, self.num_cols), dtype=np.int64)
+        for v in range(self.n):
+            out = out * table[np.ix_(nodes[:, v], exps[:, v])] % p
         return out
 
     def rows_exact(self) -> list[list[CyclotomicElement]]:
-        cos = {j: self.field.cos_root(j, self.d) for j in range(1, self.d)}
+        cos = self._cosines
         one = self.field.scalar(1)
         rows = []
         for js in self.node_tuples:
@@ -234,14 +247,14 @@ def evaluation_matrix(n: int, d: int, r: int,
 
 @dataclass
 class OracleConfig:
-    """Certification knobs for evaluation-matrix ranks."""
+    """Seed of the prime draws behind evaluation-matrix ranks.
 
-    primes: int = 2
-    escalation_primes: int = 5
+    The seed picks the primes, never the result: every rank is proved,
+    by one prime at full rank and otherwise by more primes than the
+    Hadamard bound on the norm of a nonzero minor allows to drop.
+    """
+
     seed: int | str = 0
-    # exact elimination runs when both caps hold; it is then authoritative
-    exact_cols: int = 500
-    exact_cells: int = 4000
 
 
 @dataclass
@@ -249,59 +262,61 @@ class OracleRank:
     rank: int
     primes: list[int]
     ranks: list[int]
-    certified: bool
-    exact_verified: bool
+
+
+# the oracle draws its primes above 2^_PRIME_BITS
+_PRIME_BITS = 30
+
+
+def _bad_prime_bound(s: int, degrees: list[int], phi: int) -> int:
+    """Most primes p > 2^30 at which a nonzero s x s minor can vanish.
+
+    With column c scaled by 2^degrees[c] the minor is an algebraic integer
+    of norm at most (s^(s/2) * 2^D)^phi, D the sum of the s largest
+    degrees (Hadamard in each of the phi embeddings).  The norm is a
+    nonzero multiple of the product of those primes, so at most
+    log2(bound)/30 of them exist; s.bit_length() stands in for log2 s to
+    keep this in integers.
+    """
+    top = sum(sorted(degrees)[len(degrees) - s:])
+    return phi * (s * s.bit_length() + 2 * top) // (2 * _PRIME_BITS)
 
 
 def _evaluation_rank(matrix: EvaluationMatrix, config: OracleConfig,
                      salt: str) -> OracleRank:
-    if matrix.num_rows == 0 or matrix.num_cols == 0:
-        return OracleRank(0, [], [], True, True)
-    rng = random.Random(f"{config.seed}|{salt}")
-    exact_ok = (matrix.num_cols <= config.exact_cols
-                and matrix.num_rows * matrix.num_cols <= config.exact_cells)
+    """Rank of the evaluation matrix over Q(zeta_2d), proved mod primes.
 
+    Draws one prime p = 1 (mod 2d); unless its rank is already
+    min(rows, cols), keeps drawing distinct primes until there are more
+    than _bad_prime_bound(best + 1) of them, so no larger rank survives.
+    A prime without an element of order 2d (BadPrime) does not count.
+    """
+    full = min(matrix.num_rows, matrix.num_cols)
+    if full == 0:
+        return OracleRank(0, [], [])
+    rng = random.Random(f"{config.seed}|{salt}")
+    degrees = [sum(exps) for exps in matrix.columns]
     primes: list[int] = []
     ranks: list[int] = []
-
-    def run_batch(count: int) -> None:
-        fresh = draw_distinct_primes(rng, count, modulus=matrix.field.order,
-                                     exclude=primes)
-        for p in fresh:
-            try:
-                arr = matrix.rows_modp(p, random.Random(rng.randrange(1 << 62)))
-                ranks.append(rank_dense_modp(arr, p))
-                primes.append(p)
-            except BadPrime:
-                continue
-
-    run_batch(config.primes)
-    while len(primes) < config.primes:
-        run_batch(config.primes - len(primes))
-    agreement = len(set(ranks)) == 1
-    if not agreement and len(primes) < config.escalation_primes:
-        run_batch(config.escalation_primes - len(primes))
-        agreement = len(set(ranks)) == 1
-
-    rank = max(ranks)
-    exact_verified = False
-    if exact_ok:
-        rank = rank_gaussian_field(matrix.rows_exact(),
-                                   zero=matrix.field.scalar(0))
-        exact_verified = True
-    certified = exact_verified or (agreement and len(primes) >= 2)
-    if not certified:
-        raise ArithmeticError(
-            f"evaluation rank uncertified: primes {primes} gave ranks {ranks} "
-            "and the matrix is too large for exact elimination")
-    return OracleRank(rank=rank, primes=primes, ranks=ranks,
-                      certified=certified, exact_verified=exact_verified)
+    while True:
+        p, = draw_distinct_primes(rng, 1, modulus=matrix.field.order,
+                                  lo=1 << _PRIME_BITS, exclude=primes)
+        try:
+            arr = matrix.rows_modp(p, random.Random(rng.randrange(1 << 62)))
+        except BadPrime:
+            continue
+        ranks.append(rank_dense_modp(arr, p))
+        primes.append(p)
+        best = max(ranks)
+        if best == full or len(primes) > _bad_prime_bound(
+                best + 1, degrees, matrix.field.phi):
+            return OracleRank(rank=best, primes=primes, ranks=ranks)
 
 
 def defect_direct(n: int, d: int, degree: int,
                   config: OracleConfig | None = None,
                   k_shift: int | None = None) -> int:
-    """defect S_degree(N(n,d)) from the evaluation matrix, certified.
+    """defect S_degree(N(n,d)) from the evaluation matrix, proved.
 
     Canonical CC(n,d) by default; pass k_shift for another singular shift.
     Independent of the Jacobian-strand route.
@@ -322,7 +337,8 @@ class InjectivityResult:
 
     The witness is the x0-partial of the defining equation restricted to
     x0 = 1: degree d-2, vanishes on every node by the chain rule, so it
-    certifies non-injectivity one degree above r_star.
+    certifies non-injectivity one degree above r_star.  certified is
+    always True: the rank at r_star is proved or an error is raised.
     """
 
     r_star: int
@@ -335,9 +351,11 @@ def injectivity_threshold(n: int, d: int,
                           config: OracleConfig | None = None) -> InjectivityResult:
     """r* for CC(n,d): evaluation on degree <= r is injective iff r <= r*.
 
-    Injectivity at r* is certified by a full-column-rank witness mod one
-    prime (modular rank never exceeds the true rank); failure above r* is
-    certified by the exact witness polynomial in the kernel.
+    Injectivity at r* is proved by full column rank mod one prime p = 1
+    (mod 2d), since a modular rank never exceeds the rank over Q(zeta_2d);
+    if that prime falls short, _evaluation_rank proves the rank from the
+    norm bound and a deficient one is raised as an error.  Failure above
+    r* is certified by the exact witness polynomial in the kernel.
     """
     config = config or OracleConfig()
     r = d - 3
@@ -355,7 +373,7 @@ def injectivity_threshold(n: int, d: int,
     in_kernel = all(not witness.evaluate([one, *node]) for node in nodes)
     return InjectivityResult(r_star=r, witness_degree=witness.degree,
                              witness_in_kernel=in_kernel,
-                             certified=res.certified)
+                             certified=True)
 
 
 def dump_nodes(nodes: list[tuple[CyclotomicElement, ...]], fh) -> None:

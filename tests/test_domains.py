@@ -132,6 +132,16 @@ def test_cos_root_matches_float():
             assert abs(approx - math.cos(j * math.pi / d)) < 1e-9
 
 
+def test_cos_root_equals_halved_sum_by_division():
+    # cos_root halves by a Fraction product; the field division must agree
+    for m in (6, 8, 10, 12, 16):
+        field = CyclotomicField(m)
+        for j in range(m):
+            z = field.zeta(j)
+            zbar = field.zeta(m - j)
+            assert field.cos_root(j, m // 2) == (z + zbar) / 2, (m, j)
+
+
 def test_chebyshev_critical_points_exact():
     # T_d(cos(j*pi/d)) = (-1)^j and T_d'(cos(j*pi/d)) = 0, exactly, for 0 < j < d
     for d in (3, 4, 5, 6):

@@ -6,11 +6,14 @@ import warnings
 
 import pytest
 
+import milnor.linalg
+import milnor.nodes
 from milnor.chebyshev import ChebyshevSpec, build, canonical_spec, cc_node_count
-from milnor.domains import CyclotomicField
+from milnor.domains import CyclotomicField, draw_distinct_primes
 from milnor.linalg import BadPrime
 from milnor.monomials import num_monomials
-from milnor.nodes import (OracleConfig, affine_monomials, defect_direct,
+from milnor.nodes import (EvaluationMatrix, OracleConfig, _bad_prime_bound,
+                          _evaluation_rank, affine_monomials, defect_direct,
                           dump_nodes, enumerate_nodes, evaluation_matrix,
                           gradient_check, injectivity_threshold,
                           modular_embedding)
@@ -76,12 +79,83 @@ def test_evaluation_matrix_shape_and_exact_rows():
     mat = evaluation_matrix(2, 5, 2)
     assert mat.num_rows == 8
     assert mat.num_cols == 6
-    exact = mat.rows_exact()
-    emb = modular_embedding(mat.field, 41, random.Random(0))
-    modp = mat.rows_modp(41, random.Random(0))
-    for i in range(mat.num_rows):
-        for j in range(mat.num_cols):
-            assert emb(exact[i][j]) == int(modp[i, j]) % 41
+    cases = [(2, 5, 2, [41])]
+    rng = random.Random(7)
+    for n, d, top in ((3, 4, 3), (4, 4, 2)):
+        for r in range(top + 1):
+            cases.append((n, d, r, draw_distinct_primes(rng, 2,
+                                                        modulus=2 * d)))
+    for n, d, r, primes in cases:
+        mat = evaluation_matrix(n, d, r)
+        assert mat.num_cols == num_monomials(n + 1, r)  # homogenized
+        exact = mat.rows_exact()
+        for p in primes:
+            emb = modular_embedding(mat.field, p, random.Random(p))
+            modp = mat.rows_modp(p, random.Random(p))
+            assert modp.shape == (mat.num_rows, mat.num_cols)
+            for i in range(mat.num_rows):
+                for j in range(mat.num_cols):
+                    assert emb(exact[i][j]) == int(modp[i, j]), (n, d, r, p)
+
+
+def test_full_rank_draws_one_prime(monkeypatch):
+    draws = []
+
+    def spy(*args, **kwargs):
+        out = draw_distinct_primes(*args, **kwargs)
+        draws.extend(out)
+        return out
+
+    monkeypatch.setattr(milnor.nodes, "draw_distinct_primes", spy)
+    for n, d, r in ((2, 5, 1), (2, 5, 3), (3, 6, 3)):
+        mat = evaluation_matrix(n, d, r)
+        res = _evaluation_rank(mat, OracleConfig(seed=0), salt="full")
+        assert res.rank == min(mat.num_rows, mat.num_cols)
+        assert len(res.primes) == 1 and res.primes == draws
+        draws.clear()
+
+
+def test_bad_prime_bound_hand_value():
+    # CC(3,6), r = 5: 56 columns (21 of degree 5, 15 of 4, 10 of 3, ...);
+    # the 49 largest degrees sum to 21*5 + 15*4 + 10*3 + 3*2 = 201, and
+    # phi(12) = 4: 4 * (49 * bit_length(49) + 2 * 201) // 60 = 2784 // 60
+    degrees = [sum(c) for c in affine_monomials(3, 5)]
+    assert _bad_prime_bound(49, degrees, 4) == 46
+    # a 2x2 minor of degrees 1 and 1 has norm at most (2 * 4)^2 < 2^30
+    assert _bad_prime_bound(2, [0, 1, 1], 2) == 0
+    # soundness: bound + 1 primes above 2^30 outweigh the Hadamard norm
+    # bound (s^(s/2) * 2^D)^phi, compared squared to stay in integers
+    for s, phi in ((2, 2), (35, 4), (49, 4), (60, 6)):
+        top = sum(sorted(degrees)[len(degrees) - s:])
+        norm_sq = s ** (s * phi) * 2 ** (2 * top * phi)
+        bound = _bad_prime_bound(s, degrees, phi)
+        assert 1 << (60 * (bound + 1)) > norm_sq
+
+
+def test_rank_deficient_matrix_proved_by_prime_count():
+    mat = evaluation_matrix(3, 6, 5)
+    assert (mat.num_rows, mat.num_cols) == (54, 56)
+    res = _evaluation_rank(mat, OracleConfig(seed=0), salt="deficient")
+    assert res.rank == 48
+    degrees = [sum(c) for c in mat.columns]
+    assert len(res.primes) == _bad_prime_bound(49, degrees, 4) + 1 == 47
+    assert len(set(res.primes)) == len(res.primes)
+    assert all(p > 1 << 30 and p % 12 == 1 for p in res.primes)
+    assert max(res.ranks) == 48
+
+
+def test_oracle_never_runs_exact_elimination(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact elimination ran inside the oracle")
+
+    monkeypatch.setattr(milnor.linalg, "rank_gaussian_field", forbidden)
+    monkeypatch.setattr(milnor.nodes, "rank_gaussian_field", forbidden,
+                        raising=False)
+    monkeypatch.setattr(EvaluationMatrix, "rows_exact", forbidden)
+    assert defect_direct(3, 6, 5, config=OracleConfig(seed=0)) == 6
+    assert defect_direct(2, 5, 2, config=OracleConfig(seed=0)) == 2
+    res = injectivity_threshold(3, 5, config=OracleConfig(seed=0))
+    assert res.r_star == 2 and res.witness_in_kernel and res.certified
 
 
 def test_defect_direct_known_values():
