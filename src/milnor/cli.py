@@ -228,7 +228,7 @@ def _cmd_chebyshev(args) -> int:
     if args.jobs > 1 and len(specs) > 1:
         payloads = [((s.n, s.d, s.k), config, args.no_cache, args.cache_dir)
                     for s in specs]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
             futures = [pool.submit(_grid_worker, p) for p in payloads]
             for fut in as_completed(futures):
                 reports.append(_finish(fut.result(), args, t0))

@@ -351,9 +351,6 @@ class CyclotomicField:
             return self.scalar(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
 
-    def invert(self, x) -> CyclotomicElement:
-        return self.coerce(x).inverse()
-
     def zeta(self, power: int = 1) -> CyclotomicElement:
         """zeta_m^power, reduced into the basis."""
         power %= self.order

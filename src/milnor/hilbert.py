@@ -109,7 +109,8 @@ def hilbert_function(
     grad = partial_derivatives(f, d)
     ks = list(range(up_to + 1))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at once: no more than tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ks))) as pool:
             results = list(pool.map(_strand_rank, [(grad, k, config) for k in ks]))
     else:
         results = [_strand_rank((grad, k, config)) for k in ks]

@@ -12,8 +12,9 @@ Every rank is the sum of the ranks of the matrix's blocks: the connected
 components of the bipartite row-column graph of its nonzero entries, found
 once per matrix.  Jacobian strands of symmetric forms such as CC(n,d) fall
 apart into many such blocks, and each block gets its own engine:
-  * dense mod-p elimination, blocked so the trailing updates run as
-    16-bit-split float64 BLAS matmuls (exact for p < 2^31);
+  * dense mod-p elimination a panel of columns at a time: int64 row
+    operations on the panel, then the Schur complement of the remaining
+    columns in one 16-bit-split float64 BLAS matmul (exact for p < 2^31);
   * sparse Markowitz elimination that escapes to the dense kernel when the
     active submatrix fills in;
   * Wiedemann/Berlekamp-Massey blackbox for very large sparse inputs
@@ -35,18 +36,17 @@ import numpy as np
 from .domains import draw_distinct_primes
 from .monomials import monomial_index, monomials_of_degree, num_monomials
 
-PRIME_LO = 1 << 30
-PRIME_HI = 1 << 31
-
 # Engine thresholds, applied by _engine to each block: above BLACKBOX_NNZ
 # nonzeros the Wiedemann blackbox runs; otherwise narrow or dense blocks go
 # straight to the dense kernel and the rest to Markowitz elimination.
 # DENSE_COLS and ESCAPE_DENSITY are also the defaults at which Markowitz
-# elimination hands its active submatrix to the dense kernel.
+# elimination hands its active submatrix to the dense kernel, which takes
+# DENSE_PANEL columns per panel.
 BLACKBOX_NNZ = 200_000
 DENSE_COLS = 700
 DENSE_DENSITY = 0.02
 ESCAPE_DENSITY = 0.04
+DENSE_PANEL = 48
 
 
 class BadPrime(Exception):
@@ -186,80 +186,71 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p for int64 inputs reduced mod p < 2^31.
 
-    Splits each factor into 16-bit halves so the three float64 matmuls stay
-    below 2^53; requires the inner dimension to be at most 2^20.
+    Splits each factor into 16-bit halves so every float64 matmul stays
+    below 2^53 (the inner dimension may be at most 2^20), and adds the four
+    products into one int64 array in place by Horner's rule in 2^16, so at
+    most one float64 product and one half of b are alive beside it.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     if a.shape[1] > 1 << 20:
         raise ValueError("inner dimension too large for the split trick")
     ah = (a >> 16).astype(np.float64)
     al = (a & 0xFFFF).astype(np.float64)
     bh = (b >> 16).astype(np.float64)
+    out = (ah @ bh).astype(np.int64)
+    out %= p
+    out <<= 16
+    # out < 2^47 after a shift and the products added to it sum below
+    # 2^52, so every float64 sum is exact
+    np.add(out, al @ bh, out=out, casting="unsafe")
+    del bh
     bl = (b & 0xFFFF).astype(np.float64)
-    hh = (ah @ bh).astype(np.int64)
-    mid = (ah @ bl + al @ bh).astype(np.int64)
-    ll = (al @ bl).astype(np.int64)
-    out = (hh % p) * ((1 << 32) % p) % p
-    out += (mid % p) * ((1 << 16) % p) % p
-    out += ll % p
-    return out % p
+    np.add(out, ah @ bl, out=out, casting="unsafe")
+    out %= p
+    out <<= 16
+    np.add(out, al @ bl, out=out, casting="unsafe")
+    out %= p
+    return out
 
 
-def rank_dense_modp(a: np.ndarray, p: int, block: int = 48,
-                    chunk: int = 2048) -> int:
-    """Rank of an int64 matrix mod p; entries must already lie in [0, p).
+def rank_dense_modp(a: np.ndarray, p: int) -> int:
+    """Rank of an int64 matrix mod p < 2^31; entries must lie in [0, p).
 
-    Right-looking blocked elimination with full row pivot swaps; the panel is
-    eliminated with vectorized row operations and the trailing block is
-    updated with exact split-float64 matmuls.  The input array is destroyed.
+    Takes DENSE_PANEL columns at a time.  The panel is eliminated in int64
+    (every product stays below 2^62) over the rows with no pivot yet, and
+    each row operation is also applied to a record y, with y[r, k] = 1 when
+    row r becomes the k-th pivot.  A row i left without a pivot is then
+    a_i + y_i a_P on the later columns, a_P the pivot rows, so the rank is
+    the pivot count plus the rank of that Schur complement, which takes one
+    matmul_modp per panel.  The input is not changed.
     """
-    m, n = a.shape
-    r = 0
-    c0 = 0
-    while c0 < n and r < m:
-        c1 = min(c0 + block, n)
-        rs = r
-        pivot_cols: list[int] = []
-        for c in range(c0, c1):
-            col = a[r:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
+    rank = 0
+    while a.shape[0] and a.shape[1]:
+        b = min(DENSE_PANEL, a.shape[1])
+        work = np.zeros((a.shape[0], 2 * b), dtype=np.int64)  # panel | y
+        work[:, :b] = a[:, :b]
+        free = np.ones(a.shape[0], dtype=bool)
+        pivots: list[int] = []
+        for c in range(b):
+            rows = np.flatnonzero(free & (work[:, c] != 0))
+            if rows.size == 0:
                 continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            if pivot_cols:
-                # bring the trailing part of the new pivot row up to date
-                f = a[r, pivot_cols]
-                if np.any(f):
-                    a[r, c1:] = (a[r, c1:] - matmul_modp(
-                        f[None, :], a[rs:r, c1:], p)[0]) % p
-            inv = pow(int(a[r, c]), -1, p)
-            a[r, c:] = a[r, c:] * inv % p
-            if r + 1 < m:
-                fcol = a[r + 1 :, c]
-                nzr = np.nonzero(fcol)[0]
-                if nzr.size:
-                    rows_nz = nzr + r + 1
-                    factors = fcol[nzr].copy()  # fcol is a view into a
-                    a[rows_nz, c:c1] = (
-                        a[rows_nz, c:c1] - factors[:, None] * a[r, c:c1][None, :]
-                    ) % p
-                    a[rows_nz, c] = factors  # keep factors for the block update
-            pivot_cols.append(c)
-            r += 1
-        if pivot_cols and c1 < n and r < m:
-            low = a[r:, pivot_cols]
-            if np.any(low):
-                for s0 in range(c1, n, chunk):
-                    s1 = min(s0 + chunk, n)
-                    prod = matmul_modp(low, a[rs:r, s0:s1], p)
-                    a[r:, s0:s1] = (a[r:, s0:s1] - prod) % p
-        c0 = c1
-    return r
+            r, rest = rows[0], rows[1:]
+            work[r, b + len(pivots)] = 1
+            f = work[rest, c] * pow(int(work[r, c]), -1, p) % p
+            work[rest, c:] = (work[rest, c:] - f[:, None] * work[r, c:]) % p
+            free[r] = False
+            pivots.append(r)
+        rank += len(pivots)
+        rest = np.flatnonzero(free)
+        if rest.size == 0 or b == a.shape[1]:
+            break
+        a_next = matmul_modp(work[rest, b : b + len(pivots)], a[pivots, b:], p)
+        a_next += a[rest, b:]
+        a_next %= p
+        a = a_next
+    return rank
 
 
 # -- sparse Markowitz elimination ---------------------------------------------------
@@ -547,8 +538,9 @@ def rank_gaussian_field(rows: list[list], zero=None) -> int:
 class RankConfig:
     """Knobs for certified rank computation; defaults match the CLI defaults.
 
-    Primes are drawn as 31-bit values: the dense kernel splits factors into
-    16-bit halves and needs p < 2^31 for its float64 products to stay exact.
+    Primes are drawn as 31-bit values: the dense kernel needs p < 2^31 so
+    that its int64 panel products stay below 2^62 and the 16-bit halves of
+    its matmul factors give exact float64 products.
     """
 
     primes: int = 3

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .monomials import Monomial, monomials_of_degree, unit_monomial
+from .monomials import Monomial, unit_monomial
 
 
 class SparsePolynomial:
@@ -178,17 +178,6 @@ class SparsePolynomial:
     __hash__ = None
 
     # -- maps and substitution ----------------------------------------------
-
-    def map_coefficients(self, fn) -> SparsePolynomial:
-        """Apply fn to every coefficient, dropping any that map to zero."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            image = fn(coeff)
-            if image:
-                out[mono] = image
-        result = SparsePolynomial(self.num_vars)
-        result.terms = out
-        return result
 
     def evaluate(self, values):
         """Full substitution; values is one scalar per variable."""
@@ -485,10 +474,3 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> SparsePolynomial
         else:
             acc.pop(mono, None)
     return SparsePolynomial(num_vars, acc)
-
-
-def monomial_basis_polys(num_vars: int, degree: int) -> list[SparsePolynomial]:
-    """The degree-k monomials as polynomials, in the canonical basis order."""
-    return [
-        SparsePolynomial(num_vars, {m: 1}) for m in monomials_of_degree(num_vars, degree)
-    ]

@@ -1,7 +1,10 @@
 """Shared fixtures: memoized full-pipeline runs, reused across test modules."""
 
+from concurrent.futures import Future
+
 import pytest
 
+from milnor import cli, hilbert
 from milnor.chebyshev import ChebyshevSpec, canonical_spec
 from milnor.poly import parse_polynomial
 from milnor.report import RunConfig, analyze
@@ -51,3 +54,35 @@ def kummer(pipeline):
 @pytest.fixture(scope="session")
 def fermat(pipeline):
     return pipeline.poly("fermat", FERMAT_TEXT, num_vars=4)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pools of hilbert and cli for a serial stand-in.
+
+    Returns the list of max_workers each pool was asked for; no process is
+    started, whatever --jobs says.
+    """
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    for module in (hilbert, cli):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", SerialPool)
+    return sizes

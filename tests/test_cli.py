@@ -130,6 +130,15 @@ def test_chebyshev_k_override(capsys):
     assert "tau = 6" in out
 
 
+def test_chebyshev_jobs_pool_capped_at_grid_size(capsys, pool_sizes):
+    argv = ["chebyshev", "--n", "2", "--d", "3..4", "--no-cache"]
+    code, serial, _ = run(argv, capsys)
+    assert code == 0 and pool_sizes == []
+    code, pooled, _ = run(argv + ["--jobs", "64"], capsys)
+    assert code == 0 and pooled == serial
+    assert pool_sizes == [2]  # two grid points, not 64 workers
+
+
 def test_chebyshev_bad_degree_spec(capsys):
     code, _, err = run(["chebyshev", "--n", "3", "--d", "x..y"], capsys)
     assert code == 1 and "degree spec" in err

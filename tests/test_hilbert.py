@@ -172,3 +172,17 @@ def test_series_text():
     sm = smooth_hilbert(2, 3)
     text = sm.series_text()
     assert "1" in text and "3" in text
+
+
+def test_jobs_pool_capped_at_degree_count(pool_sizes):
+    f = parse_polynomial("x0^3 + x1^3 + x2^3", num_vars=3)
+    serial = hilbert_function(f, jobs=1)
+    assert pool_sizes == []
+    # T + 2 = 5 degrees, so a pool of 64 would fork 59 idle workers
+    assert hilbert_function(f, jobs=64) == serial
+    assert pool_sizes == [5]
+
+
+def test_jobs_two_matches_serial():
+    f = parse_polynomial(KUMMER, num_vars=4)
+    assert hilbert_function(f, jobs=2) == hilbert_function(f, jobs=1)

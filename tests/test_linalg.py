@@ -75,7 +75,30 @@ def test_matmul_modp_exact():
         assert np.array_equal(got, want)
 
 
-def test_dense_rank_matches_naive():
+def test_matmul_modp_largest_residues_and_empty_inner():
+    # p - 1 everywhere over a long inner dimension: (p-1)^2 = 1 mod p
+    p = (1 << 31) - 1
+    a = np.full((3, 5000), p - 1, dtype=np.int64)
+    assert np.array_equal(matmul_modp(a, a.T.copy(), p), np.full((3, 3), 5000))
+    empty = matmul_modp(np.zeros((2, 0), dtype=np.int64),
+                        np.zeros((0, 4), dtype=np.int64), p)
+    assert empty.shape == (2, 4) and not empty.any()
+
+
+def _dense_ranks_match_naive(monkeypatch, a, p, panels=(1, 2, 5, 48)):
+    """rank_dense_modp equals the naive rank for every panel width, and the
+    input is left as it was."""
+    want = naive_rank_modp(a, p)
+    arr = np.array(a, dtype=np.int64) % p
+    for panel in panels:
+        monkeypatch.setattr(linalg, "DENSE_PANEL", panel)
+        before = arr.copy()
+        assert rank_dense_modp(arr, p) == want
+        assert np.array_equal(arr, before)
+    return want
+
+
+def test_dense_rank_matches_naive(monkeypatch):
     rng = random.Random(5)
     for trial in range(60):
         p = rng.choice([101, 65537, 2147483029])
@@ -83,10 +106,58 @@ def test_dense_rank_matches_naive():
         n = rng.randrange(1, 14)
         cap = rng.randrange(0, min(m, n) + 1) if trial % 2 else None
         a = random_matrix(rng, m, n, p, density=rng.uniform(0.1, 0.9), rank_cap=cap)
-        want = naive_rank_modp(a, p)
-        arr = np.array(a, dtype=np.int64) % p
-        for block in (1, 2, 5, 48):
-            assert rank_dense_modp(arr.copy(), p, block=block, chunk=7) == want
+        _dense_ranks_match_naive(monkeypatch, a, p)
+
+
+def test_dense_rank_across_panels(monkeypatch):
+    rng = random.Random(16)
+    p = 2147483029
+    # full rank in the first 48-column panel, rank lost in the later ones
+    a = random_matrix(rng, 97, 130, p, rank_cap=60)
+    assert _dense_ranks_match_naive(monkeypatch, a, p, panels=(5, 48)) == 60
+    # a first panel with no pivot at all
+    a = [[0] * 50 + row for row in random_matrix(rng, 30, 40, p, density=0.3)]
+    _dense_ranks_match_naive(monkeypatch, a, p, panels=(5, 48))
+
+
+def test_dense_rank_degenerate_shapes(monkeypatch):
+    rng = random.Random(17)
+    p = 65537
+    for m, n in ((1, 1), (1, 120), (120, 1), (7, 60), (60, 7)):
+        a = random_matrix(rng, m, n, p, density=0.5)
+        _dense_ranks_match_naive(monkeypatch, a, p)
+        assert _dense_ranks_match_naive(monkeypatch, [[0] * n] * m, p) == 0
+    assert rank_dense_modp(np.zeros((0, 5), dtype=np.int64), p) == 0
+    assert rank_dense_modp(np.zeros((5, 0), dtype=np.int64), p) == 0
+
+
+def test_dense_rank_largest_residues(monkeypatch):
+    p = (1 << 31) - 1  # the largest prime below 2^31
+    assert _dense_ranks_match_naive(monkeypatch, [[p - 1] * 70] * 60, p) == 1
+    rng = random.Random(18)
+    a = [[rng.randrange(p - 8, p) for _ in range(70)] for _ in range(60)]
+    _dense_ranks_match_naive(monkeypatch, a, p)
+
+
+def test_dense_rank_one_matmul_per_panel(monkeypatch):
+    calls = []
+    original = linalg.matmul_modp
+
+    def spy(a, b, p):
+        calls.append(a.shape)
+        return original(a, b, p)
+
+    monkeypatch.setattr(linalg, "matmul_modp", spy)
+    rng = random.Random(19)
+    p = 2147483029
+    a = np.array(random_matrix(rng, 90, 200, p, density=0.6), dtype=np.int64)
+    for panel in (7, 48):
+        monkeypatch.setattr(linalg, "DENSE_PANEL", panel)
+        calls.clear()
+        assert rank_dense_modp(a, p) == 90
+        # every row holds a pivot after ceil(90 / panel) panels, and the
+        # last of them leaves no Schur complement to form
+        assert len(calls) == -(-90 // panel) - 1
 
 
 def test_sparse_rank_matches_naive():
