@@ -33,12 +33,18 @@ partials = partial_derivatives(f, 4)
 
 # Strand k of the Jacobian ideal: rows are the monomials of degree k,
 # columns the (partial, multiplier) pairs with multipliers of degree
-# k - d + 1.  The corank is dim M(f)_k.
+# k - d + 1.  The corank is dim M(f)_k.  Kummer is fixed by every
+# permutation of x0..x3, proved from the partials, so the blocks of each
+# strand come in orbits of identical copies and one block per orbit is
+# ranked.
+print(f"transpositions fixing the partials:"
+      f" {jacobian_strand_matrix(partials, 0).symmetries}")
 for k in (4, 6, 8):
     m = jacobian_strand_matrix(partials, k)
     res = certified_rank(m, RankConfig(seed=0))
     print(f"strand k={k}: {m.num_rows} x {m.num_cols}, nnz={m.nnz},"
           f" dim M(f)_{k} = {m.num_rows - res.rank}")
+    print(f"  {len(m.blocks)} blocks in {len(m.orbits)} orbits")
     print(f"  rank {res.rank} via {res.method}, primes {res.primes}")
     print(f"  modular ranks {res.ranks}, agreement={res.agreement},"
           f" exact_verified={res.exact_verified}, certified={res.certified}")

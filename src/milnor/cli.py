@@ -82,6 +82,8 @@ def _run_config(args) -> RunConfig:
         raise CommandError("--primes must be at least 1")
     if args.jobs < 1:
         raise CommandError("--jobs must be at least 1")
+    if args.dense_threshold < 0:
+        raise CommandError("--dense-threshold must be at least 0")
     return RunConfig(primes=args.primes,
                      escalation_primes=max(7, args.primes),
                      seed=args.seed,

@@ -11,7 +11,11 @@ to exact fraction-free elimination on disagreement).
 Every rank is the sum of the ranks of the matrix's blocks: the connected
 components of the bipartite row-column graph of its nonzero entries, found
 once per matrix.  Jacobian strands of symmetric forms such as CC(n,d) fall
-apart into many such blocks, and each block gets its own engine:
+apart into many such blocks.  A strand also records in `symmetries` the
+transpositions of the variables proved to permute its generators exactly;
+those map blocks onto blocks with the same entries, so one block per orbit
+is ranked and counted with the orbit's size.  Each ranked block gets its
+own engine:
   * dense mod-p elimination a panel of columns at a time: int64 row
     operations on the panel, then the Schur complement of the remaining
     columns in one 16-bit-split float64 BLAS matmul (exact for p < 2^31);
@@ -29,6 +33,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 
 import numpy as np
@@ -58,7 +63,14 @@ class BadPrime(Exception):
 
 @dataclass
 class StrandMatrix:
-    """Sparse exact matrix with its graded provenance (k, d, n) attached."""
+    """Sparse exact matrix with its graded provenance (k, d, n) attached.
+
+    `symmetries` lists the pairs (i, j) of variables for which swapping x_i
+    and x_j permutes the rows (the degree-k monomials) and the columns and
+    keeps every entry; jacobian_strand_matrix proves them from the
+    generators.  Blocks exchanged by them are ranked once.  The default ()
+    claims nothing, and a matrix with symmetries needs k and n.
+    """
 
     num_rows: int
     num_cols: int
@@ -66,12 +78,13 @@ class StrandMatrix:
     k: int | None = None
     d: int | None = None
     n: int | None = None
+    symmetries: tuple[tuple[int, int], ...] = ()
 
     @property
     def nnz(self) -> int:
         return len(self.entries)
 
-    @cached_property
+    @property
     def blocks(self) -> list[StrandMatrix]:
         """The connected components of the bipartite row-column graph.
 
@@ -80,32 +93,71 @@ class StrandMatrix:
         The list is [self] when the matrix is one block with no empty row
         or column.  It is computed once, so entries must not change after.
         """
+        return self._components[0]
+
+    @property
+    def orbits(self) -> list[tuple[StrandMatrix, int]]:
+        """One (representative block, multiplicity) pair per symmetry orbit.
+
+        The orbits are the classes of blocks under the kept transpositions;
+        every block of an orbit has its representative's rank mod every
+        prime and over Q.  Without symmetries each block is its own orbit.
+        """
+        return self._components[1]
+
+    @cached_property
+    def _components(self):
         m = self.num_rows
         parent = list(range(m + self.num_cols))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
         for r, c, _ in self.entries:
-            a, b = find(r), find(m + c)
+            a, b = _root(parent, r), _root(parent, m + c)
             if a != b:
                 parent[a] = b
         members: dict[int, list] = {}
         for entry in self.entries:
-            members.setdefault(find(entry[0]), []).append(entry)
-        out = []
+            members.setdefault(_root(parent, entry[0]), []).append(entry)
+        blocks = []
         for entries in members.values():
             row_ix = {r: i for i, r in enumerate(sorted({e[0] for e in entries}))}
             col_ix = {c: i for i, c in enumerate(sorted({e[1] for e in entries}))}
             if len(members) == 1 and len(row_ix) == m and len(col_ix) == self.num_cols:
-                return [self]
-            out.append(StrandMatrix(
+                return [self], [(self, 1)]
+            blocks.append(StrandMatrix(
                 len(row_ix), len(col_ix),
                 [(row_ix[r], col_ix[c], v) for r, c, v in entries],
                 k=self.k, d=self.d, n=self.n))
-        return out
+        return blocks, self._orbits(blocks, parent, members)
+
+    def _orbits(self, blocks, parent, members):
+        """Group the blocks under the symmetries.
+
+        members maps the union-find root of each block to its original
+        entries.  A symmetry maps the block holding row r onto the block
+        holding the row of the swapped monomial, so one row per block and
+        symmetry suffices to join the orbits.
+        """
+        orbit = list(range(len(blocks)))
+        if self.symmetries:
+            monomials = monomials_of_degree(self.n + 1, self.k)
+            row_of = monomial_index(self.n + 1, self.k)
+            block_of = {root: b for b, root in enumerate(members)}
+            first_rows = [entries[0][0] for entries in members.values()]
+            for i, j in self.symmetries:
+                for b, r in enumerate(first_rows):
+                    image = row_of[_swapped(monomials[r], i, j)]
+                    target = block_of.get(_root(parent, image))
+                    if target is None:
+                        raise ValueError(f"transposition {(i, j)} maps a block "
+                                         "onto empty rows")
+                    orbit[_root(orbit, b)] = _root(orbit, target)
+        reps: dict[int, list] = {}
+        for b, block in enumerate(blocks):
+            rep = reps.setdefault(_root(orbit, b), [block, 0])
+            if _shape(block) != _shape(rep[0]):
+                raise ValueError(f"a block of shape {_shape(block)} joins the "
+                                 f"orbit of one of shape {_shape(rep[0])}")
+            rep[1] += 1
+        return [(block, count) for block, count in reps.values()]
 
     def dense_modp(self, p: int) -> np.ndarray:
         out = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
@@ -122,6 +174,24 @@ class StrandMatrix:
             cols[i] = c
             vals[i] = _residue(v, p)
         return rows, cols, vals
+
+
+def _root(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _swapped(mono, i: int, j: int) -> tuple:
+    """The exponent tuple with the exponents of x_i and x_j exchanged."""
+    out = list(mono)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _shape(block: StrandMatrix) -> tuple[int, int, int]:
+    return block.num_rows, block.num_cols, block.nnz
 
 
 def _residue(value, p: int) -> int:
@@ -177,7 +247,29 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
                     # plain tuple addition; the index dict accepts raw tuples
                     row = row_of[tuple(x + y for x, y in zip(mult, mono))]
                     entries.append((row, col, coeff))
-    return StrandMatrix(num_rows, num_cols, entries, k=k, d=d, n=n)
+    return StrandMatrix(num_rows, num_cols, entries, k=k, d=d, n=n,
+                        symmetries=_variable_transpositions(partials))
+
+
+def _variable_transpositions(partials) -> tuple[tuple[int, int], ...]:
+    """The transpositions (i, j) of the variables that permute the generators.
+
+    (i, j) is kept when swapping x_i and x_j maps the generator list onto
+    itself as a bijection pi of exactly equal polynomials, g_a(sigma x) =
+    g_pi(a)(x).  Then row nu -> sigma nu with column (a, mu) ->
+    (pi(a), sigma mu) preserves every entry of every strand, since the
+    entry is the coefficient of x^(nu - mu) in g_a.  Two equal generators
+    make pi non-injective, so they keep nothing.
+    """
+    keys = [frozenset(g.terms.items()) for g in partials]
+    index = {key: a for a, key in enumerate(keys)}
+    kept = []
+    for i, j in combinations(range(partials[0].num_vars), 2):
+        images = {index.get(frozenset((_swapped(m, i, j), c) for m, c in key))
+                  for key in keys}
+        if None not in images and len(images) == len(keys):
+            kept.append((i, j))
+    return tuple(kept)
 
 
 # -- dense mod-p kernel -----------------------------------------------------------
@@ -442,8 +534,8 @@ def rank_blackbox_modp(num_rows: int, num_cols: int, rows_idx, cols_idx, vals,
 
 
 def rank_exact(matrix: StrandMatrix) -> int:
-    """Rank over the rationals: the sum of the blocks' Bareiss ranks."""
-    return sum(_rank_bareiss(block) for block in matrix.blocks)
+    """Rank over the rationals: each orbit's Bareiss rank times its size."""
+    return sum(count * _rank_bareiss(block) for block, count in matrix.orbits)
 
 
 def _rank_bareiss(matrix: StrandMatrix) -> int:
@@ -550,6 +642,10 @@ class RankConfig:
     dense_threshold: int = 2000
     exact_verify_cols: int = 48
 
+    def __post_init__(self):
+        if self.primes < 1:
+            raise ValueError(f"primes must be at least 1, not {self.primes}")
+
     def child(self, salt: str) -> RankConfig:
         return replace(self, salt=salt)
 
@@ -578,9 +674,10 @@ def _engine(matrix: StrandMatrix) -> str:
 def rank_mod_p(matrix: StrandMatrix, p: int) -> int:
     """Rank mod p, the sum over the blocks of each block's engine rank.
 
-    Raises BadPrime if p kills a denominator.
+    Each symmetry orbit's representative is ranked once and counted with
+    its multiplicity.  Raises BadPrime if p kills a denominator.
     """
-    return sum(_rank_block_mod_p(block, p) for block in matrix.blocks)
+    return sum(count * _rank_block_mod_p(block, p) for block, count in matrix.orbits)
 
 
 def _rank_block_mod_p(block: StrandMatrix, p: int) -> int:
@@ -613,7 +710,7 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None) -> Ra
     if matrix.num_rows == 0 or matrix.num_cols == 0 or not matrix.entries:
         return RankResult(rank=0, method="sparse-elimination")
     rng = random.Random(f"{config.seed}|{config.salt}")
-    blackbox = any(_engine(block) == "blackbox" for block in matrix.blocks)
+    blackbox = any(_engine(block) == "blackbox" for block, _ in matrix.orbits)
 
     primes: list[int] = []
     ranks: list[int] = []

@@ -224,3 +224,10 @@ def test_stdin_input(monkeypatch, capsys):
     code, out, _ = run(["analyze", "-", "--format", "text"], capsys)
     assert code == 0
     assert "source: stdin" in out
+
+
+def test_rank_options_validated(capsys):
+    code, _, err = run(["analyze", FERMAT_TEXT, "--primes", "0"], capsys)
+    assert code == 1 and "--primes" in err
+    code, _, err = run(["analyze", FERMAT_TEXT, "--dense-threshold", "-5"], capsys)
+    assert code == 1 and "--dense-threshold" in err

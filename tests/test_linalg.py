@@ -1,12 +1,13 @@
 """Rank engines cross-checked against a naive reference and each other."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import KUMMER_TEXT
+from conftest import FERMAT_TEXT, KUMMER_TEXT
 from milnor import linalg
 from milnor.chebyshev import build, canonical_spec
 from milnor.linalg import (
@@ -348,6 +349,10 @@ def test_blocks_partition_and_ranks():
         for b, rs, cs in zip(blocks, rows, cols):
             assert (b.num_rows, b.num_cols) == (len(rs), len(cs))
             assert _connected(b)
+        # no symmetry is claimed, so every block is its own orbit
+        assert sm.symmetries == ()
+        assert [(b, 1) for b in blocks] == sm.orbits
+        assert all(b is rep for b, (rep, _) in zip(blocks, sm.orbits))
         assert rank_mod_p(sm, p) == naive_rank_modp(dense, p)
         field_rows = [[Fraction(v) for v in row] for row in dense]
         assert rank_exact(sm) == rank_gaussian_field(field_rows, zero=Fraction(0))
@@ -362,6 +367,112 @@ def test_blocks_of_symmetric_strands():
     sm = StrandMatrix(2, 2, [(0, 0, 1), (0, 1, 2), (1, 1, 3)])
     assert sm.blocks == [sm] and sm.blocks[0] is sm
     assert StrandMatrix(3, 0, []).blocks == []
+
+
+def _partials(text):
+    f = parse_polynomial(text)
+    return partial_derivatives(f, f.degree)
+
+
+def _cc_partials(n, d):
+    return partial_derivatives(build(canonical_spec(n, d)), d)
+
+
+def test_symmetries_proved_from_the_generators():
+    cc34 = build(canonical_spec(3, 4))
+    assert jacobian_strand_matrix(partial_derivatives(cc34, 4), 5).symmetries == (
+        (1, 2), (1, 3), (2, 3))
+    kummer = jacobian_strand_matrix(_partials(KUMMER_TEXT), 5)
+    assert set(kummer.symmetries) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
+    # x1^4 breaks every transposition that moves x1
+    broken = cc34 + parse_polynomial("x1^4", num_vars=4)
+    assert jacobian_strand_matrix(partial_derivatives(broken, 4), 5).symmetries == (
+        (2, 3),)
+    # the proof holds in every degree, even with no column at all
+    assert jacobian_strand_matrix(partial_derivatives(cc34, 4), 1).symmetries == (
+        (1, 2), (1, 3), (2, 3))
+
+
+def test_equal_generators_keep_no_symmetry():
+    # swapping x0 and x1 fixes g and h, but with g listed twice pi cannot
+    # be injective
+    g = parse_polynomial("x0^2 + x1^2 + x1*x2 + x0*x2", num_vars=3)
+    h = parse_polynomial("x2^2 + x0*x1", num_vars=3)
+    assert jacobian_strand_matrix([g, h], 3).symmetries == ((0, 1),)
+    partials = [g, g, h]
+    p = 2147483029
+    for k in range(2, 6):
+        sm = jacobian_strand_matrix(partials, k)
+        assert sm.symmetries == ()
+        assert all(count == 1 for _, count in sm.orbits)
+        dense = [[0] * sm.num_cols for _ in range(sm.num_rows)]
+        for r, c, v in sm.entries:
+            dense[r][c] += v
+        assert rank_mod_p(sm, p) == naive_rank_modp(dense, p)
+
+
+@pytest.mark.parametrize("partials", [
+    pytest.param(lambda: _cc_partials(4, 4), id="CC(4,4)"),
+    pytest.param(lambda: _cc_partials(3, 6), id="CC(3,6)"),
+    pytest.param(lambda: _partials(KUMMER_TEXT), id="kummer"),
+    pytest.param(lambda: _partials(FERMAT_TEXT), id="fermat"),
+])
+def test_orbit_ranks_equal_block_sums(partials):
+    partials = partials()
+    num_vars, d = partials[0].num_vars, partials[0].degree + 1
+    num_blocks = num_orbits = 0
+    for k in range((d - 2) * num_vars + 2):  # k = 0..T+1
+        sm = jacobian_strand_matrix(partials, k)
+        blocks = sm.blocks
+        assert sum(count for _, count in sm.orbits) == len(blocks)
+        num_blocks += len(blocks)
+        num_orbits += len(sm.orbits)
+        for p in (2147483029, 2147482801):
+            assert rank_mod_p(sm, p) == sum(
+                linalg._rank_block_mod_p(b, p) for b in blocks)
+        if sm.num_cols <= 48:
+            assert rank_exact(sm) == sum(linalg._rank_bareiss(b) for b in blocks)
+    assert num_orbits < num_blocks
+
+
+def test_one_dense_rank_per_orbit(monkeypatch):
+    sm = jacobian_strand_matrix(_cc_partials(4, 4), 11)
+    assert len(sm.blocks) == 16
+    assert [count for _, count in sm.orbits] == [1, 4, 6, 4, 1]
+    calls = []
+    original = linalg.rank_dense_modp
+
+    def spy(a, p):
+        calls.append(a.shape)
+        return original(a, p)
+
+    monkeypatch.setattr(linalg, "rank_dense_modp", spy)
+    for p in (2147483029, 2147482801):
+        calls.clear()
+        want = sum(original(b.dense_modp(p), p) for b in sm.blocks)
+        assert rank_mod_p(sm, p) == want
+        assert len(calls) == 5
+
+
+def test_false_symmetry_claim_raises():
+    # Fermat plus x0^3*x1 is not fixed by swapping x0 and x1; claimed anyway,
+    # the orbits would join blocks that differ
+    partials = _partials(FERMAT_TEXT + " + x0^3*x1")
+    for k, message in ((5, "empty rows"), (8, "shape")):
+        sm = jacobian_strand_matrix(partials, k)
+        assert (0, 1) not in sm.symmetries
+        with pytest.raises(ValueError, match=message):
+            replace(sm, symmetries=((0, 1),)).orbits
+
+
+def test_rank_config_needs_a_prime():
+    for primes in (0, -1):
+        with pytest.raises(ValueError, match="primes"):
+            RankConfig(primes=primes)
+    # one prime and no escalation is a valid configuration
+    res = certified_rank(StrandMatrix(1, 1, [(0, 0, 3)]),
+                         RankConfig(primes=1, escalation_primes=0))
+    assert res.rank == 1 and len(res.primes) == 1
 
 
 def test_wide_matrix_with_few_nonempty_columns_goes_dense(monkeypatch):
