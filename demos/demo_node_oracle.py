@@ -16,7 +16,8 @@ import io
 from milnor import RunConfig, analyze, canonical_spec, defect_direct, \
     enumerate_nodes, evaluation_matrix, injectivity_threshold
 from milnor.chebyshev import build
-from milnor.nodes import dump_nodes, gradient_check
+from milnor.nodes import OracleConfig, _evaluation_rank, dump_nodes, \
+    gradient_check
 
 # Exact affine coordinates of the 8 nodes of CC(2,5), in Q(zeta_10).
 nodes = enumerate_nodes(2, 5)
@@ -33,6 +34,13 @@ print()
 # The evaluation matrix in degree 2: 8 nodes x 6 affine monomials.
 mat = evaluation_matrix(2, 5, 2)
 print(f"evaluation matrix in degree 2: {mat.num_rows} x {mat.num_cols}")
+
+# For even d the sign flips x_i -> -x_i permute the nodes, so the matrix
+# splits into 2^n sign-parity blocks whose ranks are proved one by one.
+res = _evaluation_rank(evaluation_matrix(3, 6, 5), OracleConfig(),
+                       salt="eval-3-6-5")
+print(f"CC(3,6) in degree 5: {len(res.blocks)} sign-parity blocks, "
+      f"rank proved with {len(res.primes)} primes")
 print()
 
 # Oracle defects against the strand-route defects for the same surface.

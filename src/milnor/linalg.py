@@ -134,7 +134,9 @@ class StrandMatrix:
         members maps the union-find root of each block to its original
         entries.  A symmetry maps the block holding row r onto the block
         holding the row of the swapped monomial, so one row per block and
-        symmetry suffices to join the orbits.
+        symmetry suffices to join the orbits.  A joined block must match
+        its representative in shape, nnz and sorted entry values, or the
+        claimed symmetry is false and ValueError is raised.
         """
         orbit = list(range(len(blocks)))
         if self.symmetries:
@@ -153,9 +155,8 @@ class StrandMatrix:
         reps: dict[int, list] = {}
         for b, block in enumerate(blocks):
             rep = reps.setdefault(_root(orbit, b), [block, 0])
-            if _shape(block) != _shape(rep[0]):
-                raise ValueError(f"a block of shape {_shape(block)} joins the "
-                                 f"orbit of one of shape {_shape(rep[0])}")
+            if rep[1]:
+                _check_same_entries(block, rep[0])
             rep[1] += 1
         return [(block, count) for block, count in reps.values()]
 
@@ -192,6 +193,21 @@ def _swapped(mono, i: int, j: int) -> tuple:
 
 def _shape(block: StrandMatrix) -> tuple[int, int, int]:
     return block.num_rows, block.num_cols, block.nnz
+
+
+def _check_same_entries(block: StrandMatrix, rep: StrandMatrix) -> None:
+    """Raise unless block could be rep with rows and columns permuted.
+
+    A symmetry permutes rows and columns and keeps every entry, so the
+    shape, nnz and sorted entry values of joined blocks agree.
+    """
+    if _shape(block) != _shape(rep):
+        raise ValueError(f"a block of shape {_shape(block)} joins the "
+                         f"orbit of one of shape {_shape(rep)}")
+    if sorted(v for _, _, v in block.entries) != \
+            sorted(v for _, _, v in rep.entries):
+        raise ValueError("a block joins the orbit of one with other entry "
+                         "values")
 
 
 def _residue(value, p: int) -> int:

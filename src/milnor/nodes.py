@@ -27,12 +27,42 @@ rank returned is proved from those modular ranks alone:
   ideal of norm p, so more primes than log2(bound)/30 cannot all drop,
   and the rank is R'.
 
+Sign-parity blocks.  The flip sigma_i: j_i -> d - j_i of one critical
+index negates x_i, since cos((d-j)*pi/d) = -cos(j*pi/d).  When every
+sigma_i maps the node set N onto itself (always for even d, where
+T_d(-x) = T_d(x); never for CC(n,d) with odd d) the group G = {0,1}^n
+they generate acts on N, and the column of x^e transforms by the
+character chi_e(g) = (-1)^(g.e): x^e(g.x) = chi_e(g) x^e(x).  Over any
+field of characteristic other than 2 the functions on N split into the
+2^n isotypic parts V_s = {f : f(g.x) = (-1)^(g.s) f(x)}, and the column
+of x^e lies in V_s for s = e mod 2.  Hence
+
+- rank = sum over s of the rank of the columns with e = s (mod 2), the
+  V_s being independent;
+- an f in V_s is fixed by its values at one representative per orbit,
+  so those rows alone keep the rank of the block;
+- at a representative with j_i = d/2 (x_i = 0, so sigma_i fixes it)
+  where s_i = 1, f = -f vanishes, so that row is zero and is dropped.
+
+Block s thus has the columns e = s (mod 2) and the orbit
+representatives (each j_i <= d/2) with j_i != d/2 wherever s_i = 1.  An
+orbit whose representative has m coordinates d/2 has 2^(n-m) nodes and
+sits in exactly 2^(n-m) blocks, so the blocks hold |N| rows in all.
+The identity x^e(sigma_i x) = -x^e(x) holds exactly in Q(zeta_2d) and
+so in its image mod every p = 1 (mod 2d), so the split holds over both
+and each block's rank is proved on its own by the argument above: it is
+a submatrix of the column-scaled matrix of algebraic integers, with its
+own column degrees in the Hadamard bound.  When some flip does not map
+N onto itself the group is trivial and the one block is the whole
+matrix.
+
 This module never touches the Jacobian-strand route, so agreement between
 the two is a genuine end-to-end check.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -194,22 +224,93 @@ class EvaluationMatrix:
         """Exact cos(j*pi/d) for j = 0..d-1, indexed by j."""
         return [self.field.cos_root(j, self.d) for j in range(self.d)]
 
-    def rows_modp(self, p: int, rng: random.Random | None = None) -> np.ndarray:
+    def _cosines_modp(self, emb: ModularEmbedding) -> list[int]:
+        """emb(cos(j*pi/d)) for j = 0..d-1, as (w^j + w^(2d-j)) / 2 mod p.
+
+        w = emb.omega is the image of the root of unity of order 2d.
+        """
+        p, m = emb.p, self.field.order
+        step = m // (2 * self.d)
+        w = [pow(emb.omega, step * j, p) for j in range(self.d)]
+        w_bar = [pow(emb.omega, m - step * j, p) for j in range(self.d)]
+        half = (p + 1) // 2
+        return [(a + b) * half % p for a, b in zip(w, w_bar)]
+
+    @cached_property
+    def _index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        nodes = np.array(self.node_tuples, dtype=np.intp).reshape(
+            self.num_rows, self.n)
+        exps = np.array(self.columns, dtype=np.intp).reshape(
+            self.num_cols, self.n)
+        return nodes, exps
+
+    @cached_property
+    def representatives(self) -> list[int]:
+        """Row index of one node per orbit of the flips j_i -> d - j_i.
+
+        The representative has every j_i <= d/2.  Unless every flip maps
+        the node set onto itself, the group is trivial and every row is
+        its own representative.
+        """
+        if not self._flips_act:
+            return list(range(self.num_rows))
+        return [r for r, js in enumerate(self.node_tuples)
+                if all(2 * j <= self.d for j in js)]
+
+    @cached_property
+    def _flips_act(self) -> bool:
+        """Whether each flip j_i -> d - j_i maps the node set onto itself."""
+        d, tuples = self.d, self.node_tuples
+        nodes = set(tuples)
+        return all(js[:i] + (d - js[i],) + js[i + 1:] in nodes
+                   for js in tuples for i in range(self.n))
+
+    @cached_property
+    def parity_blocks(self) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+        """(parity class s, row indices, column indices) of each block.
+
+        With the flips acting, s runs over {0,1}^n: the columns are the
+        monomials x^e with e = s (mod 2), the rows the orbit
+        representatives with j_i != d/2 wherever s_i = 1 (see the module
+        docstring for why the ranks add up).  Otherwise there is one
+        block, s = (), holding the whole matrix.
+        """
+        flipped = self.n if self._flips_act else 0
+        weights = 1 << np.arange(flipped)
+        nodes, exps = self._index_arrays
+        reps = np.array(self.representatives, dtype=np.intp)
+        # bit i set: coordinate i of the representative is cos(pi/2) = 0
+        zeros = (2 * nodes[reps, :flipped] == self.d) @ weights
+        parity = exps[:, :flipped] % 2 @ weights
+        blocks = []
+        for s in itertools.product((0, 1), repeat=flipped):
+            code = sum(b << i for i, b in enumerate(s))
+            blocks.append((s, reps[(zeros & code) == 0],
+                           np.flatnonzero(parity == code)))
+        if sum(len(rows) for _, rows, _ in blocks) != self.num_rows:
+            raise ArithmeticError("parity blocks do not cover the node set")
+        return blocks
+
+    def rows_modp(self, p: int, rng: random.Random | None = None,
+                  rows: np.ndarray | None = None,
+                  cols: np.ndarray | None = None) -> np.ndarray:
+        """The matrix mod p, or its submatrix on the given row and column
+        indices (all of them by default)."""
         emb = modular_embedding(self.field, p, rng)
         powers = []
-        for cos in self._cosines:
-            base = emb(cos)
+        for base in self._cosines_modp(emb):
             row = [1]
             for _ in range(self.r):
                 row.append(row[-1] * base % p)
             powers.append(row)
         table = np.array(powers, dtype=np.int64)
-        nodes = np.array(self.node_tuples, dtype=np.intp).reshape(
-            self.num_rows, self.n)
-        exps = np.array(self.columns, dtype=np.intp).reshape(
-            self.num_cols, self.n)
+        nodes, exps = self._index_arrays
+        if rows is not None:
+            nodes = nodes[rows]
+        if cols is not None:
+            exps = exps[cols]
         # entries stay below p < 2^31, so each product is below 2^62
-        out = np.ones((self.num_rows, self.num_cols), dtype=np.int64)
+        out = np.ones((len(nodes), len(exps)), dtype=np.int64)
         for v in range(self.n):
             out = out * table[np.ix_(nodes[:, v], exps[:, v])] % p
         return out
@@ -258,10 +359,23 @@ class OracleConfig:
 
 
 @dataclass
+class BlockRank:
+    """Proved rank of one sign-parity block, with the primes it took."""
+
+    parity: tuple[int, ...]
+    shape: tuple[int, int]
+    rank: int = 0
+    primes: list[int] = dc_field(default_factory=list)
+    ranks: list[int] = dc_field(default_factory=list)
+
+
+@dataclass
 class OracleRank:
+    """Proved rank: the sum of the block ranks; primes is the shared stream."""
+
     rank: int
     primes: list[int]
-    ranks: list[int]
+    blocks: list[BlockRank]
 
 
 # the oracle draws its primes above 2^_PRIME_BITS
@@ -286,31 +400,49 @@ def _evaluation_rank(matrix: EvaluationMatrix, config: OracleConfig,
                      salt: str) -> OracleRank:
     """Rank of the evaluation matrix over Q(zeta_2d), proved mod primes.
 
-    Draws one prime p = 1 (mod 2d); unless its rank is already
-    min(rows, cols), keeps drawing distinct primes until there are more
-    than _bad_prime_bound(best + 1) of them, so no larger rank survives.
-    A prime without an element of order 2d (BadPrime) does not count.
+    The rank is the sum of the ranks of the parity blocks, each proved on
+    its own from one shared stream of distinct primes p = 1 (mod 2d): a
+    block is done once its best rank is min(rows, cols), or once it has
+    been ranked mod more than _bad_prime_bound(best + 1, its column
+    degrees) primes, so no larger rank survives.  Each prime evaluates
+    only the rows and columns of the blocks still open.  A prime without
+    an element of order 2d (BadPrime) does not count.
     """
-    full = min(matrix.num_rows, matrix.num_cols)
-    if full == 0:
-        return OracleRank(0, [], [])
     rng = random.Random(f"{config.seed}|{salt}")
+    phi = matrix.field.phi
     degrees = [sum(exps) for exps in matrix.columns]
+    records, todo = [], []
+    for parity, rows, cols in matrix.parity_blocks:
+        rec = BlockRank(parity, (len(rows), len(cols)))
+        records.append(rec)
+        if min(rec.shape):
+            todo.append((rec, rows, cols, [degrees[c] for c in cols]))
     primes: list[int] = []
-    ranks: list[int] = []
-    while True:
+    while todo:
         p, = draw_distinct_primes(rng, 1, modulus=matrix.field.order,
                                   lo=1 << _PRIME_BITS, exclude=primes)
+        rows = np.unique(np.concatenate([t[1] for t in todo]))
+        cols = np.unique(np.concatenate([t[2] for t in todo]))
         try:
-            arr = matrix.rows_modp(p, random.Random(rng.randrange(1 << 62)))
+            arr = matrix.rows_modp(p, random.Random(rng.randrange(1 << 62)),
+                                   rows, cols)
         except BadPrime:
             continue
-        ranks.append(rank_dense_modp(arr, p))
         primes.append(p)
-        best = max(ranks)
-        if best == full or len(primes) > _bad_prime_bound(
-                best + 1, degrees, matrix.field.phi):
-            return OracleRank(rank=best, primes=primes, ranks=ranks)
+        still_open = []
+        for block in todo:
+            rec, block_rows, block_cols, block_degrees = block
+            sub = arr[np.ix_(np.searchsorted(rows, block_rows),
+                             np.searchsorted(cols, block_cols))]
+            rec.ranks.append(rank_dense_modp(sub, p))
+            rec.primes.append(p)
+            rec.rank = max(rec.ranks)
+            if rec.rank < min(rec.shape) and len(rec.primes) <= \
+                    _bad_prime_bound(rec.rank + 1, block_degrees, phi):
+                still_open.append(block)
+        todo = still_open
+    return OracleRank(rank=sum(rec.rank for rec in records), primes=primes,
+                      blocks=records)
 
 
 def defect_direct(n: int, d: int, degree: int,
@@ -368,12 +500,24 @@ def injectivity_threshold(n: int, d: int,
 
     f = build(canonical_spec(n, d))
     witness = f.partial_derivative(0).substitute({0: 1})
-    nodes = enumerate_nodes(n, d)
-    one = nodes[0][0].field.scalar(1) if nodes else None
-    in_kernel = all(not witness.evaluate([one, *node]) for node in nodes)
+    in_kernel = _vanishes_on_nodes(witness, matrix)
     return InjectivityResult(r_star=r, witness_degree=witness.degree,
-                             witness_in_kernel=in_kernel,
-                             certified=True)
+                             witness_in_kernel=in_kernel, certified=True)
+
+
+def _vanishes_on_nodes(g: SparsePolynomial, matrix: EvaluationMatrix) -> bool:
+    """Exact check that g(1, x) = 0 at every node of the matrix.
+
+    When every exponent in g is even, g takes one value on each orbit of
+    the flips x_i -> -x_i, so the orbit representatives suffice;
+    otherwise g is evaluated at every node.
+    """
+    even = all(e % 2 == 0 for mono in g.terms for e in mono)
+    rows = matrix.representatives if even else range(matrix.num_rows)
+    cos = matrix._cosines
+    one = matrix.field.scalar(1)
+    return all(not g.evaluate([one, *(cos[j] for j in matrix.node_tuples[r])])
+               for r in rows)
 
 
 def dump_nodes(nodes: list[tuple[CyclotomicElement, ...]], fh) -> None:

@@ -465,6 +465,19 @@ def test_false_symmetry_claim_raises():
             replace(sm, symmetries=((0, 1),)).orbits
 
 
+def test_false_symmetry_claim_with_equal_shapes_raises():
+    # x1^4 breaks every transposition moving x1; claimed anyway at k = 7
+    # the joined blocks agree in shape and nnz but not in their entries,
+    # and would rank 116 instead of 115
+    broken = build(canonical_spec(3, 4)) + parse_polynomial("x1^4", num_vars=4)
+    sm = jacobian_strand_matrix(partial_derivatives(broken, 4), 7)
+    assert sm.symmetries == ((2, 3),)
+    assert rank_mod_p(sm, 2147483029) == 115
+    claimed = replace(sm, symmetries=((1, 2), (1, 3), (2, 3)))
+    with pytest.raises(ValueError, match="entry values"):
+        rank_mod_p(claimed, 2147483029)
+
+
 def test_rank_config_needs_a_prime():
     for primes in (0, -1):
         with pytest.raises(ValueError, match="primes"):

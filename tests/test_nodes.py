@@ -4,6 +4,7 @@ import io
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 import milnor.linalg
@@ -13,10 +14,12 @@ from milnor.domains import CyclotomicField, draw_distinct_primes
 from milnor.linalg import BadPrime
 from milnor.monomials import num_monomials
 from milnor.nodes import (EvaluationMatrix, OracleConfig, _bad_prime_bound,
-                          _evaluation_rank, affine_monomials, defect_direct,
+                          _evaluation_rank, _vanishes_on_nodes,
+                          affine_monomials, defect_direct,
                           dump_nodes, enumerate_nodes, evaluation_matrix,
                           gradient_check, injectivity_threshold,
                           modular_embedding)
+from milnor.poly import SparsePolynomial, parse_polynomial
 
 
 def test_enumerate_counts_match_formula():
@@ -96,6 +99,125 @@ def test_evaluation_matrix_shape_and_exact_rows():
             for i in range(mat.num_rows):
                 for j in range(mat.num_cols):
                     assert emb(exact[i][j]) == int(modp[i, j]), (n, d, r, p)
+            rows, cols = mat.representatives[::2], list(range(1, mat.num_cols, 3))
+            sub = mat.rows_modp(p, random.Random(p), rows, cols)
+            assert (sub == modp[np.ix_(rows, cols)]).all()
+
+
+def test_modular_cosines_match_exact_embedding():
+    rng = random.Random(3)
+    for d in (4, 5, 6, 8):
+        mat = evaluation_matrix(2, d, 1)
+        for p in draw_distinct_primes(rng, 2, modulus=2 * d):
+            emb = modular_embedding(mat.field, p, random.Random(p))
+            assert mat._cosines_modp(emb) == [
+                emb(mat.field.cos_root(j, d)) for j in range(d)], (d, p)
+
+
+def _flipped(js, i, d):
+    return js[:i] + (d - js[i],) + js[i + 1:]
+
+
+def test_parity_blocks_partition_the_nodes():
+    cases = [(2, 6, None), (3, 6, None), (4, 4, None), (3, 4, -1),
+             (2, 5, None), (3, 5, None)]
+    for n, d, k in cases:
+        for r in range(n * (d - 2) + 2):
+            mat = evaluation_matrix(n, d, r, k=k)
+            blocks = mat.parity_blocks
+            assert sum(len(rows) for _, rows, _ in blocks) == mat.num_rows
+            if d % 2:
+                # odd d: no flip maps the node set onto itself
+                (parity, rows, block_cols), = blocks
+                assert parity == ()
+                assert list(rows) == list(range(mat.num_rows))
+                assert list(block_cols) == list(range(mat.num_cols))
+                continue
+            assert len(blocks) == 2 ** n
+            cols = sorted(c for _, _, block_cols in blocks for c in block_cols)
+            assert cols == list(range(mat.num_cols))
+            nodes = set(mat.node_tuples)
+            orbits = {tuple(min(j, d - j) for j in js) for js in nodes}
+            assert len(mat.representatives) == len(orbits)
+            for parity, rows, block_cols in blocks:
+                for c in block_cols:
+                    assert tuple(e % 2 for e in mat.columns[c]) == parity
+                for row in rows:
+                    js = mat.node_tuples[row]
+                    assert all(2 * j <= d for j in js)
+                    assert all(_flipped(js, i, d) in nodes for i in range(n))
+
+
+def test_one_block_when_a_flip_image_is_missing():
+    n, d = 2, 6
+    full = evaluation_matrix(n, d, 3)
+    # a node with no coordinate d/2, so its flip image is another node
+    generic = next(js for js in full.node_tuples if all(2 * j != d for j in js))
+    tuples = [js for js in full.node_tuples if js != _flipped(generic, 0, d)]
+    mat = EvaluationMatrix(n=n, d=d, k=full.k, r=3, node_tuples=tuples,
+                           field=full.field, columns=full.columns)
+    (parity, rows, cols), = mat.parity_blocks
+    assert parity == () and len(rows) == len(tuples) == full.num_rows - 1
+    assert list(cols) == list(range(mat.num_cols))
+    res = _evaluation_rank(mat, OracleConfig(seed=0), salt="missing")
+    block, = res.blocks
+    assert block.shape == (len(tuples), mat.num_cols)
+    assert res.rank == block.rank
+
+
+def test_block_ranks_sum_to_strand_defects(pipeline):
+    cfg = OracleConfig(seed=0)
+    for n, d, k in ((3, 6, None), (4, 4, None), (3, 4, -1)):
+        rep = pipeline.cc(n, d, k=k)
+        for r in range(rep.thresholds.T + 1):
+            mat = evaluation_matrix(n, d, r, k=k)
+            res = _evaluation_rank(mat, cfg, salt=f"blocks-{r}")
+            assert len(res.blocks) == 2 ** n
+            assert mat.num_rows - sum(b.rank for b in res.blocks) == \
+                rep.defects.defect(r), (n, d, k, r)
+
+
+def test_witness_checked_once_per_orbit(monkeypatch):
+    calls = []
+    evaluate = SparsePolynomial.evaluate
+
+    def spy(self, values):
+        calls.append(values)
+        return evaluate(self, values)
+
+    def vanishes_everywhere(g, n, d):
+        one = CyclotomicField(2 * d).scalar(1)
+        return all(not evaluate(g, [one, *node])
+                   for node in enumerate_nodes(n, d))
+
+    monkeypatch.setattr(SparsePolynomial, "evaluate", spy)
+    for n, d in ((2, 6), (3, 6), (4, 4)):
+        mat = evaluation_matrix(n, d, d - 3)
+        witness = build(canonical_spec(n, d)).partial_derivative(0) \
+            .substitute({0: 1})
+        square = parse_polynomial("x1^2*x2^2", num_vars=n + 1)
+        for g in (witness, square):
+            calls.clear()
+            assert _vanishes_on_nodes(g, mat) == vanishes_everywhere(g, n, d)
+            assert len(calls) <= len(mat.representatives) < mat.num_rows
+        assert _vanishes_on_nodes(witness, mat)
+        assert not _vanishes_on_nodes(square, mat)
+    # an odd witness is checked at every node
+    mat = evaluation_matrix(3, 5, 2)
+    witness = build(canonical_spec(3, 5)).partial_derivative(0) \
+        .substitute({0: 1})
+    calls.clear()
+    assert _vanishes_on_nodes(witness, mat)
+    assert len(calls) == mat.num_rows
+    # vanishes at every orbit representative of CC(2,6) (x1 in {sqrt(3)/2,
+    # 1/2, 0}) but not at x1 = -1/2: odd exponents force the full check
+    odd = parse_polynomial("8*x1^4 - 4*x1^3 - 6*x1^2 + 3*x1", num_vars=3)
+    mat = evaluation_matrix(2, 6, 3)
+    one = mat.field.scalar(1)
+    assert all(not evaluate(odd, [one, *(mat._cosines[j] for j in
+                                        mat.node_tuples[r])])
+               for r in mat.representatives)
+    assert not _vanishes_on_nodes(odd, mat)
 
 
 def test_full_rank_draws_one_prime(monkeypatch):
@@ -136,12 +258,35 @@ def test_rank_deficient_matrix_proved_by_prime_count():
     mat = evaluation_matrix(3, 6, 5)
     assert (mat.num_rows, mat.num_cols) == (54, 56)
     res = _evaluation_rank(mat, OracleConfig(seed=0), salt="deficient")
-    assert res.rank == 48
-    degrees = [sum(c) for c in mat.columns]
-    assert len(res.primes) == _bad_prime_bound(49, degrees, 4) + 1 == 47
-    assert len(set(res.primes)) == len(res.primes)
+    assert res.rank == sum(b.rank for b in res.blocks) == 48
+    assert len(res.blocks) == 8
+    num_deficient = 0
+    for b, (parity, rows, cols) in zip(res.blocks, mat.parity_blocks):
+        assert b.parity == parity and b.shape == (len(rows), len(cols))
+        assert b.primes == res.primes[:len(b.primes)]
+        assert b.rank == max(b.ranks)
+        if b.rank == min(b.shape):
+            assert len(b.primes) == 1
+        else:
+            num_deficient += 1
+            degrees = [sum(mat.columns[c]) for c in cols]
+            assert len(b.primes) == _bad_prime_bound(
+                b.rank + 1, degrees, mat.field.phi) + 1
+    assert num_deficient
+    assert len(set(res.primes)) == len(res.primes) <= 10
     assert all(p > 1 << 30 and p % 12 == 1 for p in res.primes)
-    assert max(res.ranks) == 48
+
+
+def test_single_block_prime_count_pinned():
+    # odd d: the flips do not act, so one block proves the whole matrix
+    mat = evaluation_matrix(3, 5, 3)
+    res = _evaluation_rank(mat, OracleConfig(seed=0), salt="deficient")
+    block, = res.blocks
+    assert block.parity == () and block.shape == (24, 20)
+    assert res.rank == block.rank == 19
+    assert len(res.primes) == len(block.primes) == 13
+    degrees = [sum(c) for c in mat.columns]
+    assert 13 == _bad_prime_bound(20, degrees, mat.field.phi) + 1
 
 
 def test_oracle_never_runs_exact_elimination(monkeypatch):
