@@ -44,10 +44,10 @@ f = parse_polynomial(
 with tempfile.TemporaryDirectory() as tmp:
     cache = HilbertCache(tmp)
     t0 = time.time()
-    cached_hilbert_function(f, config.rank_config(), cache)
+    cached_hilbert_function(f, config, cache)
     cold = time.time() - t0
     t0 = time.time()
-    hf = cached_hilbert_function(f, config.rank_config(), cache)
+    hf = cached_hilbert_function(f, config, cache)
     warm = time.time() - t0
     print(f"cold run {cold * 1000:7.1f} ms")
     print(f"warm run {warm * 1000:7.1f} ms (tau = {hf.stable_value},"

@@ -1,12 +1,13 @@
 """Content-addressed cache for certified Hilbert functions.
 
 The cache key hashes the canonical polynomial text together with every
-configuration field that influences the stored ranks or their certificate
-(prime count, escalation count, seed, and the exact-elimination cutoffs
-dense_threshold and exact_verify_cols, which decide method, exact_verified
-and certified), so changing any of them gives a different entry. Entries
-are small JSON files; a corrupt entry is skipped with a warning and
-recomputed.
+value that influences the stored ranks or their certificate: the prime
+count and seed of the RankConfig, and the linalg constants
+ESCALATION_PRIMES, EXACT_FALLBACK_COLS and EXACT_VERIFY_COLS (which decide
+method, exact_verified and certified).  The constants keep the payload
+names they had as settings, so existing keys stay valid.  Changing any of
+these values gives a different entry.  Entries are small JSON files; a
+corrupt entry is skipped with a warning and recomputed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import asdict, fields
 from typing import Optional
 
 from .hilbert import HilbertFunction, hilbert_function
-from .linalg import RankConfig, RankResult
+from .linalg import (ESCALATION_PRIMES, EXACT_FALLBACK_COLS, EXACT_VERIFY_COLS,
+                     RankConfig, RankResult)
 from .poly import SparsePolynomial, format_polynomial
 
 CACHE_ENV = "MILNOR_CACHE_DIR"
@@ -38,10 +40,10 @@ def cache_key(f: SparsePolynomial, up_to: Optional[int],
         "num_vars": f.num_vars,
         "up_to": up_to,
         "primes": config.primes,
-        "escalation_primes": config.escalation_primes,
+        "escalation_primes": ESCALATION_PRIMES,
         "seed": config.seed,
-        "dense_threshold": config.dense_threshold,
-        "exact_verify_cols": config.exact_verify_cols,
+        "dense_threshold": EXACT_FALLBACK_COLS,
+        "exact_verify_cols": EXACT_VERIFY_COLS,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -126,13 +128,13 @@ class HilbertCache:
         return removed
 
 
-def cached_hilbert_function(f: SparsePolynomial, rank_config: RankConfig,
+def cached_hilbert_function(f: SparsePolynomial, config: RankConfig,
                             cache: HilbertCache, jobs: int = 1,
                             up_to: Optional[int] = None) -> HilbertFunction:
     """hilbert_function with a read-through cache keyed on input and seed."""
-    key = cache_key(f, up_to, rank_config)
+    key = cache_key(f, up_to, config)
     hf = cache.load(key)
     if hf is None:
-        hf = hilbert_function(f, up_to=up_to, config=rank_config, jobs=jobs)
+        hf = hilbert_function(f, up_to=up_to, config=config, jobs=jobs)
         cache.store(key, hf)
     return hf

@@ -24,13 +24,13 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, replace
 
-from .cache import HilbertCache, cached_hilbert_function
+from .cache import HilbertCache
 from .chebyshev import ChebyshevSpec, canonical_spec, cc_node_count, st_formula
 from .hilbert import NotNodalError
 from .monomials import num_monomials
 from .nodes import OracleConfig, defect_direct, injectivity_threshold
 from .poly import PolynomialParseError, parse_polynomial
-from .report import ReportLintError, RunConfig, analyze
+from .report import SCHEMA_VERSION, ReportLintError, RunConfig, analyze
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -51,21 +51,21 @@ class CommandError(Exception):
 
 
 def _common_flags() -> argparse.ArgumentParser:
+    defaults = RunConfig()
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--primes", type=int, default=3, metavar="N",
-                   help="random 31-bit primes per rank (default 3)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the prime stream (default 0)")
-    p.add_argument("--dense-threshold", type=int, default=2000, metavar="COLS",
-                   help="column bound for the exact dense fallback")
-    p.add_argument("--max-degree", type=int, default=20, metavar="D",
-                   help="refuse inputs of higher degree (default 20)")
+    p.add_argument("--primes", type=int, default=defaults.primes, metavar="N",
+                   help="random 31-bit primes per rank (default %(default)s)")
+    p.add_argument("--seed", type=int, default=defaults.seed,
+                   help="seed for the prime stream (default %(default)s)")
+    p.add_argument("--max-degree", type=int, default=defaults.max_degree,
+                   metavar="D",
+                   help="refuse inputs of higher degree (default %(default)s)")
     p.add_argument("--format", choices=("json", "csv", "text"),
                    default="json", help="output format (default json)")
     p.add_argument("--out", metavar="DIR",
                    help="write results into DIR instead of stdout")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (default 1)")
+    p.add_argument("--jobs", type=int, default=defaults.jobs,
+                   help="parallel workers (default %(default)s)")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="cache directory (default: env MILNOR_CACHE_DIR "
                         "or ~/.cache/milnor)")
@@ -82,26 +82,13 @@ def _run_config(args) -> RunConfig:
         raise CommandError("--primes must be at least 1")
     if args.jobs < 1:
         raise CommandError("--jobs must be at least 1")
-    if args.dense_threshold < 0:
-        raise CommandError("--dense-threshold must be at least 0")
-    return RunConfig(primes=args.primes,
-                     escalation_primes=max(7, args.primes),
-                     seed=args.seed,
-                     dense_threshold=args.dense_threshold,
-                     max_degree=args.max_degree,
-                     jobs=args.jobs)
+    return RunConfig(primes=args.primes, seed=args.seed,
+                     max_degree=args.max_degree, jobs=args.jobs)
 
 
-def _hilbert_loader(no_cache: bool, cache_dir):
-    """Read-through cache hook for analyze(), or None when caching is off."""
-    if no_cache:
-        return None
-    cache = HilbertCache(cache_dir)
-
-    def loader(f, config):
-        return cached_hilbert_function(f, config.rank_config(), cache,
-                                       jobs=config.jobs)
-    return loader
+def _cache(args):
+    """The Hilbert-function cache for analyze(), or None with --no-cache."""
+    return None if args.no_cache else HilbertCache(args.cache_dir)
 
 
 def _read_polynomial_arg(arg: str, num_vars):
@@ -169,10 +156,9 @@ def _cmd_analyze(args, nodal_default: bool = True) -> int:
     _check_degree_cap(n, d, args.max_degree)
     config = _run_config(args)
     nodal = nodal_default and not getattr(args, "no_nodal", False)
-    loader = _hilbert_loader(args.no_cache, args.cache_dir)
     t0 = time.time()
     report = _finish(analyze(f, source=label, config=config, nodal=nodal,
-                             hilbert_loader=loader), args, t0)
+                             cache=_cache(args)), args, t0)
     _emit(report.render(args.format), args,
           f"{_slug(label)}.{_EXTENSIONS[args.format]}")
     return EXIT_OK if report.certified else EXIT_UNCERTIFIED
@@ -207,10 +193,9 @@ def _parse_degree_spec(spec: str, even_only: bool) -> list[int]:
 
 def _grid_worker(payload):
     # the grid is already spread over processes: rank strands serially here
-    spec_fields, config, no_cache, cache_dir = payload
+    spec_fields, config, cache = payload
     return analyze(chebyshev=ChebyshevSpec(*spec_fields),
-                   config=replace(config, jobs=1),
-                   hilbert_loader=_hilbert_loader(no_cache, cache_dir))
+                   config=replace(config, jobs=1), cache=cache)
 
 
 def _cmd_chebyshev(args) -> int:
@@ -225,20 +210,19 @@ def _cmd_chebyshev(args) -> int:
         else:
             specs.append(canonical_spec(args.n, d))
 
+    cache = _cache(args)
     reports = []
     t0 = time.time()
     if args.jobs > 1 and len(specs) > 1:
-        payloads = [((s.n, s.d, s.k), config, args.no_cache, args.cache_dir)
-                    for s in specs]
+        payloads = [((s.n, s.d, s.k), config, cache) for s in specs]
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
             futures = [pool.submit(_grid_worker, p) for p in payloads]
             for fut in as_completed(futures):
                 reports.append(_finish(fut.result(), args, t0))
     else:
-        loader = _hilbert_loader(args.no_cache, args.cache_dir)
         for spec in specs:
             reports.append(_finish(
-                analyze(chebyshev=spec, config=config, hilbert_loader=loader),
+                analyze(chebyshev=spec, config=config, cache=cache),
                 args, t0))
     reports.sort(key=lambda r: (r.n, r.d))
 
@@ -258,7 +242,7 @@ def _cmd_chebyshev(args) -> int:
         else:
             sys.stdout.write("\nconjecture verdicts:\n" + verdict_csv)
     else:
-        doc = {"schema": 1,
+        doc = {"schema": SCHEMA_VERSION,
                "reports": [r.to_dict() for r in reports],
                "verdicts": [asdict(v) for v in verdicts]}
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -286,16 +270,16 @@ def _cmd_defects(args) -> int:
     if (args.polynomial is None) == (args.cc is None):
         raise CommandError("pass a polynomial or --cc n,d, not both")
     config = _run_config(args)
-    loader = _hilbert_loader(args.no_cache, args.cache_dir)
+    cache = _cache(args)
     spec = None
     if args.cc is not None:
         spec = _parse_cc_arg(args.cc)
         _check_degree_cap(spec.n, spec.d, args.max_degree)
-        report = analyze(chebyshev=spec, config=config, hilbert_loader=loader)
+        report = analyze(chebyshev=spec, config=config, cache=cache)
     else:
         f, label = _read_polynomial_arg(args.polynomial, args.num_vars)
         _check_degree_cap(f.num_vars - 1, f.degree, args.max_degree)
-        report = analyze(f, source=label, config=config, hilbert_loader=loader)
+        report = analyze(f, source=label, config=config, cache=cache)
     if report.defects is None:
         raise CommandError("no defect table for this input")
 
@@ -324,7 +308,7 @@ def _cmd_defects(args) -> int:
         content = "\n".join(lines) + "\n"
     elif args.format == "json":
         content = json.dumps({
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "source": report.source,
             "n": report.n, "d": report.d,
             "node_count": report.defects.node_count,
@@ -532,7 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as uncertified
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except CommandError as exc:

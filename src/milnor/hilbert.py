@@ -142,7 +142,7 @@ def hilbert_function(
 def _strand_rank(args) -> RankResult:
     grad, k, config = args
     matrix = jacobian_strand_matrix(grad, k)
-    return certified_rank(matrix, config.child(f"strand-{k}"))
+    return certified_rank(matrix, config, salt=f"strand-{k}")
 
 
 @dataclass

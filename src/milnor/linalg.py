@@ -6,7 +6,9 @@ graded piece into the degree-k piece.  Ranks are computed modulo several
 random 31-bit primes; ranks mod p never exceed the rational rank, so the
 maximum over primes is a certified lower bound, and agreement across
 independent primes certifies the value (escalating to more primes and then
-to exact fraction-free elimination on disagreement).
+to exact fraction-free elimination on disagreement).  RankConfig holds the
+only settable values, the prime count and the seed; every cutoff is a
+module constant below.
 
 Every rank is the sum of the ranks of the matrix's blocks: the connected
 components of the bipartite row-column graph of its nonzero entries, found
@@ -30,7 +32,7 @@ own engine:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -44,14 +46,23 @@ from .monomials import monomial_index, monomials_of_degree, num_monomials
 # Engine thresholds, applied by _engine to each block: above BLACKBOX_NNZ
 # nonzeros the Wiedemann blackbox runs; otherwise narrow or dense blocks go
 # straight to the dense kernel and the rest to Markowitz elimination.
-# DENSE_COLS and ESCAPE_DENSITY are also the defaults at which Markowitz
-# elimination hands its active submatrix to the dense kernel, which takes
-# DENSE_PANEL columns per panel.
+# Markowitz elimination hands its active submatrix to the dense kernel once
+# it has at most DENSE_COLS columns or a density above ESCAPE_DENSITY; the
+# dense kernel takes DENSE_PANEL columns per panel.
 BLACKBOX_NNZ = 200_000
 DENSE_COLS = 700
 DENSE_DENSITY = 0.02
 ESCAPE_DENSITY = 0.04
 DENSE_PANEL = 48
+
+# Certification cutoffs, applied by certified_rank: primes disagreeing
+# escalate to ESCALATION_PRIMES primes in all; a matrix of at most
+# EXACT_VERIFY_COLS columns is always ranked exactly, and one of at most
+# EXACT_FALLBACK_COLS columns when the primes still disagree.  cache_key
+# hashes all three, since they decide method, exact_verified and certified.
+ESCALATION_PRIMES = 7
+EXACT_VERIFY_COLS = 48
+EXACT_FALLBACK_COLS = 2000
 
 
 class BadPrime(Exception):
@@ -365,8 +376,7 @@ def rank_dense_modp(a: np.ndarray, p: int) -> int:
 
 
 def rank_sparse_modp(num_rows: int, num_cols: int, rows_idx, cols_idx, vals,
-                     p: int, escape_density: float = ESCAPE_DENSITY,
-                     escape_cols: int = DENSE_COLS) -> int:
+                     p: int) -> int:
     """Markowitz-pivoted sparse elimination mod p with a dense escape hatch.
 
     Pivots greedily by Markowitz cost (nnz_row - 1) * (nnz_col - 1) over the
@@ -399,7 +409,7 @@ def rank_sparse_modp(num_rows: int, num_cols: int, rows_idx, cols_idx, vals,
             alive_cols = {c for c in alive_cols if col_rows[c]}
             continue
         density = nnz / (live_rows * len(alive_cols))
-        if len(alive_cols) <= escape_cols or density > escape_density:
+        if len(alive_cols) <= DENSE_COLS or density > ESCAPE_DENSITY:
             rank += _dense_escape(rows, alive_cols, p)
             return rank
         # lightest columns first; among them pick the cheapest entry
@@ -644,26 +654,20 @@ def rank_gaussian_field(rows: list[list], zero=None) -> int:
 
 @dataclass
 class RankConfig:
-    """Knobs for certified rank computation; defaults match the CLI defaults.
+    """The settable part of certified rank: prime count and seed.
 
+    Defaults match the CLI defaults; the cutoffs are module constants.
     Primes are drawn as 31-bit values: the dense kernel needs p < 2^31 so
     that its int64 panel products stay below 2^62 and the 16-bit halves of
     its matmul factors give exact float64 products.
     """
 
     primes: int = 3
-    escalation_primes: int = 7
     seed: int | str = 0
-    salt: str = ""
-    dense_threshold: int = 2000
-    exact_verify_cols: int = 48
 
     def __post_init__(self):
         if self.primes < 1:
             raise ValueError(f"primes must be at least 1, not {self.primes}")
-
-    def child(self, salt: str) -> RankConfig:
-        return replace(self, salt=salt)
 
 
 @dataclass
@@ -709,23 +713,24 @@ def _rank_block_mod_p(block: StrandMatrix, p: int) -> int:
     return rank_sparse_modp(block.num_rows, block.num_cols, rows_idx, cols_idx, vals, p)
 
 
-def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None) -> RankResult:
+def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
+                   salt: str = "") -> RankResult:
     """Multi-prime rank with certification.
 
-    Draws `primes` distinct random 31-bit primes from the seeded stream; on
-    per-prime disagreement escalates to `escalation_primes`, then falls back
-    to exact fraction-free elimination when the matrix is small enough.  The
-    exact path also runs unconditionally below exact_verify_cols, and its
-    value is authoritative.  When any block goes to Wiedemann the rank is a
-    Monte Carlo lower bound that is never checked exactly, so it is labelled
-    blackbox-iterative and reported uncertified even when every prime
-    agrees.
+    Draws `primes` distinct random 31-bit primes from the stream seeded by
+    seed and salt; on per-prime disagreement escalates to ESCALATION_PRIMES,
+    then falls back to exact fraction-free elimination up to
+    EXACT_FALLBACK_COLS columns.  The exact path also runs unconditionally
+    up to EXACT_VERIFY_COLS columns, and its value is authoritative.  When
+    any block goes to Wiedemann the rank is a Monte Carlo lower bound that
+    is never checked exactly, so it is labelled blackbox-iterative and
+    reported uncertified even when every prime agrees.
     """
     if config is None:
         config = RankConfig()
     if matrix.num_rows == 0 or matrix.num_cols == 0 or not matrix.entries:
         return RankResult(rank=0, method="sparse-elimination")
-    rng = random.Random(f"{config.seed}|{config.salt}")
+    rng = random.Random(f"{config.seed}|{salt}")
     blackbox = any(_engine(block) == "blackbox" for block, _ in matrix.orbits)
 
     primes: list[int] = []
@@ -746,15 +751,15 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None) -> Ra
     run_batch(config.primes)
     agreement = len(set(ranks)) == 1
     if not agreement:
-        run_batch(config.escalation_primes)
+        run_batch(max(ESCALATION_PRIMES, config.primes))
         agreement = len(set(ranks)) == 1
 
     rank = max(ranks)
     method = "blackbox-iterative" if blackbox else "sparse-elimination"
     certified = agreement and not blackbox
     exact_verified = False
-    need_exact = matrix.num_cols <= config.exact_verify_cols or (
-        not agreement and matrix.num_cols <= config.dense_threshold
+    need_exact = matrix.num_cols <= EXACT_VERIFY_COLS or (
+        not agreement and matrix.num_cols <= EXACT_FALLBACK_COLS
     )
     if need_exact and not blackbox:
         rank = rank_exact(matrix)

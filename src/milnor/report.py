@@ -18,6 +18,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from .cache import HilbertCache, cached_hilbert_function
 from .chebyshev import (ChebyshevSpec, ConjectureVerdict, build,
                         st_formula_check, verify_conjectures)
 from .hilbert import (HilbertFunction, ThresholdReport, hilbert_function,
@@ -32,25 +33,16 @@ SCHEMA_VERSION = 1
 
 
 @dataclass
-class RunConfig:
+class RunConfig(RankConfig):
     """End-to-end configuration; defaults give the deterministic test setup.
 
-    Primes are drawn from (2^30, 2^31) by a generator seeded from seed, so
-    two runs with the same seed use the same primes everywhere.
+    The rank settings (primes, seed) are inherited from RankConfig: primes
+    are drawn from (2^30, 2^31) by a generator seeded from seed, so two runs
+    with the same seed use the same primes everywhere.
     """
 
-    primes: int = 3
-    escalation_primes: int = 7
-    seed: int = 0
-    dense_threshold: int = 2000
     max_degree: Optional[int] = 20
     jobs: int = 1
-
-    def rank_config(self) -> RankConfig:
-        return RankConfig(primes=self.primes,
-                          escalation_primes=self.escalation_primes,
-                          seed=self.seed,
-                          dense_threshold=self.dense_threshold)
 
 
 class ReportLintError(RuntimeError):
@@ -194,14 +186,14 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
             source: Optional[str] = None,
             config: Optional[RunConfig] = None,
             nodal: bool = True,
-            hilbert_loader=None,
+            cache: Optional[HilbertCache] = None,
             lint: bool = True) -> HypersurfaceReport:
     """Run the full pipeline on a polynomial or a Chebyshev spec.
 
-    hilbert_loader, when given, replaces the direct Hilbert-function
-    computation (the cache layer passes one in). Conjecture verdicts are
-    attached only for canonical Chebyshev inputs, where the closed forms
-    apply. nodal=False skips every nodal-only derivation.
+    With a cache, the Hilbert function is read from it or computed and
+    stored. Conjecture verdicts are attached only for canonical Chebyshev
+    inputs, where the closed forms apply. nodal=False skips every
+    nodal-only derivation.
     """
     config = config or RunConfig()
     if (f is None) == (chebyshev is None):
@@ -220,10 +212,10 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
         raise ValueError(f"degree {d} exceeds the cap {config.max_degree}; "
                          "raise it explicitly to proceed")
 
-    if hilbert_loader is not None:
-        hf = hilbert_loader(f, config)
+    if cache is not None:
+        hf = cached_hilbert_function(f, config, cache, jobs=config.jobs)
     else:
-        hf = hilbert_function(f, config=config.rank_config(), jobs=config.jobs)
+        hf = hilbert_function(f, config=config, jobs=config.jobs)
     sm = smooth_hilbert(hf.n, hf.d)
     t = thresholds(hf, sm, hf.d)
 

@@ -16,6 +16,7 @@ from math import comb, gcd
 import pytest
 
 from conftest import FERMAT_TEXT, KUMMER_TEXT
+from milnor import linalg
 from milnor.chebyshev import canonical_spec, cc_node_count, st_formula
 from milnor.hilbert import hilbert_function, smooth_hilbert
 from milnor.linalg import (RankConfig, StrandMatrix, certified_rank,
@@ -214,14 +215,17 @@ def _random_rational_matrix(rng):
     return StrandMatrix(num_rows=rows, num_cols=cols, entries=entries)
 
 
-def test_criterion_10_infrastructure_properties():
+def test_criterion_10_infrastructure_properties(monkeypatch):
     rng = random.Random(987)
-    config = RankConfig(seed=SEED, exact_verify_cols=0)
-    for trial in range(200):
-        matrix = _random_rational_matrix(rng)
-        res = certified_rank(matrix, config.child(f"accept-{trial}"))
-        assert res.rank == rank_exact(matrix), trial
-        assert res.certified
+    config = RankConfig(seed=SEED)
+    # certify by the primes alone: no unconditional exact pass
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "EXACT_VERIFY_COLS", 0)
+        for trial in range(200):
+            matrix = _random_rational_matrix(rng)
+            res = certified_rank(matrix, config, salt=f"accept-{trial}")
+            assert res.rank == rank_exact(matrix), trial
+            assert res.certified
 
     for n in range(1, 5):
         for d in range(2, 9):

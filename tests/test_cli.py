@@ -231,3 +231,16 @@ def test_rank_options_validated(capsys):
     assert code == 1 and "--primes" in err
     code, _, err = run(["analyze", FERMAT_TEXT, "--dense-threshold", "-5"], capsys)
     assert code == 1 and "--dense-threshold" in err
+
+
+def test_usage_errors_exit_one(capsys):
+    # argparse's own exit code 2 would read as "computed but uncertified"
+    for argv in (["analyze", FERMAT_TEXT, "--bogus"],
+                 ["analyze", FERMAT_TEXT, "--dense-threshold", "5"],
+                 ["analyze", FERMAT_TEXT, "--primes", "abc"],
+                 []):
+        code, _, err = run(argv, capsys)
+        assert code == 1, argv
+        assert "usage:" in err, argv
+    code, out, _ = run(["--help"], capsys)
+    assert code == 0 and "usage: milnor" in out

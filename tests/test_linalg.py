@@ -10,6 +10,7 @@ import pytest
 from conftest import FERMAT_TEXT, KUMMER_TEXT
 from milnor import linalg
 from milnor.chebyshev import build, canonical_spec
+from milnor.domains import draw_distinct_primes
 from milnor.linalg import (
     RankConfig,
     StrandMatrix,
@@ -161,7 +162,7 @@ def test_dense_rank_one_matmul_per_panel(monkeypatch):
         assert len(calls) == -(-90 // panel) - 1
 
 
-def test_sparse_rank_matches_naive():
+def test_sparse_rank_matches_naive(monkeypatch):
     rng = random.Random(6)
     for trial in range(60):
         p = rng.choice([101, 2147482801])
@@ -175,14 +176,13 @@ def test_sparse_rank_matches_naive():
         vals = [e[2] for e in sm.entries]
         got = rank_sparse_modp(m, n, rows_idx, cols_idx, vals, p)
         assert got == want
-        # force the dense escape path early
-        got2 = rank_sparse_modp(m, n, rows_idx, cols_idx, vals, p,
-                                escape_density=0.0, escape_cols=10**6)
-        assert got2 == want
-        # never escape: the Markowitz pivot loop does all the work
-        got3 = rank_sparse_modp(m, n, rows_idx, cols_idx, vals, p,
-                                escape_density=1.0, escape_cols=0)
-        assert got3 == want
+        # force the dense escape path early, then never escape, so that
+        # the Markowitz pivot loop does all the work
+        for density, cols in ((0.0, 10**6), (1.0, 0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "ESCAPE_DENSITY", density)
+                patch.setattr(linalg, "DENSE_COLS", cols)
+                assert rank_sparse_modp(m, n, rows_idx, cols_idx, vals, p) == want
 
 
 def test_blackbox_rank_lower_bound_and_typical_exactness():
@@ -482,10 +482,32 @@ def test_rank_config_needs_a_prime():
     for primes in (0, -1):
         with pytest.raises(ValueError, match="primes"):
             RankConfig(primes=primes)
-    # one prime and no escalation is a valid configuration
-    res = certified_rank(StrandMatrix(1, 1, [(0, 0, 3)]),
-                         RankConfig(primes=1, escalation_primes=0))
+    # one prime is a valid configuration, and agreeing with itself it
+    # never escalates
+    res = certified_rank(StrandMatrix(1, 1, [(0, 0, 3)]), RankConfig(primes=1))
     assert res.rank == 1 and len(res.primes) == 1
+
+
+def test_disagreement_escalates_then_falls_back_to_exact():
+    # the first prime of the seed-0 "esc" stream kills the only entry, so
+    # it alone ranks 0 and the primes disagree
+    (p0,) = draw_distinct_primes(random.Random("0|esc"), 1)
+    res = certified_rank(StrandMatrix(1, 1, [(0, 0, p0)]), RankConfig(seed=0),
+                         salt="esc")
+    assert res.primes[0] == p0
+    assert res.ranks == [0, 1, 1, 1, 1, 1, 1]
+    assert len(res.primes) == linalg.ESCALATION_PRIMES
+    assert not res.agreement
+    assert res.rank == 1 and res.certified and res.exact_verified
+    assert res.method == "dense-fraction-free"
+    # past EXACT_FALLBACK_COLS columns there is no exact fallback: the
+    # maximum is reported, uncertified
+    wide = StrandMatrix(1, linalg.EXACT_FALLBACK_COLS + 1, [(0, 0, p0)])
+    res = certified_rank(wide, RankConfig(seed=0), salt="esc")
+    assert res.ranks == [0, 1, 1, 1, 1, 1, 1]
+    assert res.rank == 1
+    assert not res.agreement and not res.certified and not res.exact_verified
+    assert res.method == "sparse-elimination"
 
 
 def test_wide_matrix_with_few_nonempty_columns_goes_dense(monkeypatch):
@@ -514,7 +536,7 @@ def test_blackbox_rank_is_never_certified(monkeypatch):
     res = certified_rank(sm, RankConfig(seed=0))
     assert res.method == "blackbox-iterative"
     assert res.agreement and not res.certified
-    assert not res.exact_verified  # below exact_verify_cols, still not exact
+    assert not res.exact_verified  # below EXACT_VERIFY_COLS, still not exact
     assert res.rank <= rank_exact(sm)
 
 
@@ -522,8 +544,8 @@ def test_certified_rank_determinism_and_exact_verify():
     rng = random.Random(10)
     a = random_matrix(rng, 12, 10, 1000, density=0.5, rank_cap=6)
     sm = to_triplets(a)
-    r1 = certified_rank(sm, RankConfig(seed=42, salt="strand-3"))
-    r2 = certified_rank(sm, RankConfig(seed=42, salt="strand-3"))
+    r1 = certified_rank(sm, RankConfig(seed=42), salt="strand-3")
+    r2 = certified_rank(sm, RankConfig(seed=42), salt="strand-3")
     assert r1 == r2
     assert r1.certified and r1.agreement
     assert len(r1.primes) == len(set(r1.primes)) == 3
@@ -531,7 +553,7 @@ def test_certified_rank_determinism_and_exact_verify():
     # small matrices get an exact fraction-free confirmation pass
     assert r1.exact_verified
     assert r1.rank == rank_exact(sm)
-    r3 = certified_rank(sm, RankConfig(seed=43, salt="strand-3"))
+    r3 = certified_rank(sm, RankConfig(seed=43), salt="strand-3")
     assert r3.rank == r1.rank
     assert r3.primes != r1.primes
 

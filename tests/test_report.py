@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import KUMMER_TEXT
+from milnor import cache as cache_module
 from milnor.cache import (HilbertCache, cache_key, cached_hilbert_function,
                           default_cache_dir)
 from milnor.chebyshev import canonical_spec
@@ -54,8 +55,13 @@ def test_frozen_bytes_seed0(tmp_path):
     assert (hashlib.sha256(text).hexdigest(), len(text)) == (
         "f1dd05032a7dee3bd7ecca4f414e07c54cfd17698f473b5918177d94fd712217", 5008)
     cache = HilbertCache(str(tmp_path))
-    cached_hilbert_function(f, config.rank_config(), cache)
-    with open(cache.path(cache_key(f, None, config.rank_config())), "rb") as fh:
+    cached_hilbert_function(f, config, cache)
+    key = cache_key(f, None, RankConfig(seed=0))
+    # existing caches keep hitting only while the key is unchanged
+    assert key == ("ca62dacaf21e61a1ba91be35bd1906b3"
+                   "c8a50d4934a2afb311dac502b40dc1c9")
+    assert cache_key(f, None, config) == key
+    with open(cache.path(key), "rb") as fh:
         entry = fh.read()
     assert (hashlib.sha256(entry).hexdigest(), len(entry)) == (
         "9cf04f2ba49dfd5cee2f69998030307ebf98435c09ebbf285c97d239ecde96a5", 1830)
@@ -139,16 +145,19 @@ def test_cache_round_trip(tmp_path):
     assert hit < 0.050, f"cache hit took {hit:.3f}s (miss {first:.3f}s)"
 
 
-def test_cache_key_sensitivity():
+def test_cache_key_sensitivity(monkeypatch):
     f = parse_polynomial(KUMMER_TEXT, num_vars=4)
     g = parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4", num_vars=4)
     base = cache_key(f, None, RankConfig(seed=0))
     assert cache_key(f, None, RankConfig(seed=1)) != base
     assert cache_key(f, None, RankConfig(seed=0, primes=5)) != base
     assert cache_key(g, None, RankConfig(seed=0)) != base
-    # both cutoffs decide method, exact_verified and certified
-    assert cache_key(f, None, RankConfig(seed=0, dense_threshold=0)) != base
-    assert cache_key(f, None, RankConfig(seed=0, exact_verify_cols=0)) != base
+    # the certification cutoffs decide method, exact_verified and certified
+    for name in ("ESCALATION_PRIMES", "EXACT_FALLBACK_COLS",
+                 "EXACT_VERIFY_COLS"):
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, name, 0)
+            assert cache_key(f, None, RankConfig(seed=0)) != base, name
     assert cache_key(f, None, RankConfig(seed=0)) == base
 
 
@@ -201,15 +210,23 @@ def test_default_cache_dir_env(monkeypatch, tmp_path):
     assert default_cache_dir().endswith(".cache/milnor")
 
 
-def test_analyze_uses_loader_hook():
+def test_analyze_stores_then_hits_cache(tmp_path, monkeypatch):
     f = parse_polynomial("x0^3 + x1^3 + x2^3", num_vars=3)
-    calls = []
+    cache = HilbertCache(str(tmp_path))
+    config = RunConfig(seed=0)
+    first = analyze(f, config=config, cache=cache)
+    assert first.thresholds.smooth
+    assert cache.load(cache_key(f, None, config)).dims == first.hilbert.dims
 
-    def loader(poly, config):
-        calls.append(poly)
-        from milnor.hilbert import hilbert_function
-        return hilbert_function(poly, config=config.rank_config())
+    def refuse(*args, **kwargs):
+        raise AssertionError("hilbert_function called on a cache hit")
 
-    rep = analyze(f, config=RunConfig(seed=0), hilbert_loader=loader)
-    assert calls == [f]
-    assert rep.thresholds.smooth
+    monkeypatch.setattr(cache_module, "hilbert_function", refuse)
+    again = analyze(f, config=config, cache=cache)
+    assert again.to_json() == first.to_json()
+
+
+def test_run_config_is_a_rank_config():
+    assert isinstance(RunConfig(), RankConfig)
+    with pytest.raises(ValueError, match="primes"):
+        RunConfig(primes=0)
