@@ -6,8 +6,9 @@ count and seed of the RankConfig, and the linalg constants
 ESCALATION_PRIMES, EXACT_FALLBACK_COLS and EXACT_VERIFY_COLS (which decide
 method, exact_verified and certified).  The constants keep the payload
 names they had as settings, so existing keys stay valid.  Changing any of
-these values gives a different entry.  Entries are small JSON files; a
-corrupt entry is skipped with a warning and recomputed.
+these values gives a different entry.  Entries are small JSON objects, one
+file each; a file that does not hold one is corrupt.  load() skips it with
+a warning, so it is recomputed, and entries() lists it as corrupt.
 """
 
 from __future__ import annotations
@@ -49,6 +50,15 @@ def cache_key(f: SparsePolynomial, up_to: Optional[int],
     return hashlib.sha256(blob).hexdigest()
 
 
+def _read_entry(path: str) -> dict:
+    """The JSON object stored at path; anything else is corrupt."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"entry is a JSON {type(data).__name__}")
+    return data
+
+
 class HilbertCache:
     def __init__(self, directory: Optional[str] = None):
         self.directory = directory or default_cache_dir()
@@ -61,8 +71,7 @@ class HilbertCache:
         if not os.path.exists(path):
             return None
         try:
-            with open(path) as fh:
-                data = json.load(fh)
+            data = _read_entry(path)
             if data["schema"] != ENTRY_SCHEMA:
                 raise ValueError(f"schema {data['schema']}")
             # every field is required: a missing "certified" must not
@@ -107,8 +116,7 @@ class HilbertCache:
             path = os.path.join(self.directory, name)
             row = {"key": name[:-5], "size": os.path.getsize(path)}
             try:
-                with open(path) as fh:
-                    data = json.load(fh)
+                data = _read_entry(path)
                 row["n"] = data.get("n")
                 row["d"] = data.get("d")
                 row["tau"] = data.get("stable_value")
@@ -129,12 +137,12 @@ class HilbertCache:
 
 
 def cached_hilbert_function(f: SparsePolynomial, config: RankConfig,
-                            cache: HilbertCache, jobs: int = 1,
-                            up_to: Optional[int] = None) -> HilbertFunction:
+                            cache: HilbertCache,
+                            jobs: int = 1) -> HilbertFunction:
     """hilbert_function with a read-through cache keyed on input and seed."""
-    key = cache_key(f, up_to, config)
+    key = cache_key(f, None, config)
     hf = cache.load(key)
     if hf is None:
-        hf = hilbert_function(f, up_to=up_to, config=config, jobs=jobs)
+        hf = hilbert_function(f, config=config, jobs=jobs)
         cache.store(key, hf)
     return hf

@@ -3,10 +3,13 @@
 Subcommands:
   analyze    full pipeline on one polynomial (file, inline text, or stdin)
   chebyshev  grid of Chebyshev hypersurfaces with conjecture verdict table
-  hilbert    Hilbert function and thresholds only
+  hilbert    Hilbert function and thresholds only (analyze --no-nodal)
   defects    defect table, optionally cross-checked by the node oracle
   verify     reproduction harness for the known-value table
   cache      inspect or clear the Hilbert-function cache
+
+analyze() enforces the degree cap, hilbert.parallel_map() runs the process
+pools, and reports render themselves; this module reads input and writes.
 
 Exit codes: 0 all results certified, 1 error (nothing written), 2 results
 computed but uncertified.
@@ -21,16 +24,15 @@ import re
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, replace
 
 from .cache import HilbertCache
 from .chebyshev import ChebyshevSpec, canonical_spec, cc_node_count, st_formula
-from .hilbert import NotNodalError
-from .monomials import num_monomials
+from .hilbert import parallel_map
 from .nodes import OracleConfig, defect_direct, injectivity_threshold
 from .poly import PolynomialParseError, parse_polynomial
-from .report import SCHEMA_VERSION, ReportLintError, RunConfig, analyze
+from .report import (SCHEMA_VERSION, ReportLintError, RunConfig, analyze,
+                     check_degree_cap)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -110,18 +112,6 @@ def _read_polynomial_arg(arg: str, num_vars):
         raise CommandError(f"invalid polynomial: {exc}")
 
 
-def _check_degree_cap(n: int, d: int, cap) -> None:
-    if cap is None or d <= cap:
-        return
-    T = (n + 1) * (d - 2)
-    rows = num_monomials(n + 1, T + 1)
-    cols = (n + 1) * num_monomials(n + 1, T + 1 - (d - 1))
-    raise CommandError(
-        f"degree {d} exceeds --max-degree {cap}: this run would need "
-        f"{T + 2} strand ranks, the largest on a {rows} x {cols} matrix "
-        f"({rows * cols:,} cells); raise --max-degree to proceed")
-
-
 def _slug(source: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", source).strip("_")
 
@@ -146,26 +136,21 @@ def _finish(report, args, t0: float):
 # -- analyze / hilbert --------------------------------------------------------
 
 
-def _cmd_analyze(args, nodal_default: bool = True) -> int:
+def _cmd_analyze(args) -> int:
     f, label = _read_polynomial_arg(args.polynomial, args.num_vars)
     n, d = f.num_vars - 1, f.degree
     if args.n is not None and args.n != n:
         raise CommandError(f"input has n={n} (in P^{n}), expected --n {args.n}")
     if args.d is not None and args.d != d:
         raise CommandError(f"input has degree {d}, expected --d {args.d}")
-    _check_degree_cap(n, d, args.max_degree)
     config = _run_config(args)
-    nodal = nodal_default and not getattr(args, "no_nodal", False)
     t0 = time.time()
-    report = _finish(analyze(f, source=label, config=config, nodal=nodal,
-                             cache=_cache(args)), args, t0)
+    report = _finish(analyze(f, source=label, config=config,
+                             nodal=not args.no_nodal, cache=_cache(args)),
+                     args, t0)
     _emit(report.render(args.format), args,
           f"{_slug(label)}.{_EXTENSIONS[args.format]}")
     return EXIT_OK if report.certified else EXIT_UNCERTIFIED
-
-
-def _cmd_hilbert(args) -> int:
-    return _cmd_analyze(args, nodal_default=False)
 
 
 # -- chebyshev grid -----------------------------------------------------------
@@ -192,39 +177,25 @@ def _parse_degree_spec(spec: str, even_only: bool) -> list[int]:
 
 
 def _grid_worker(payload):
-    # the grid is already spread over processes: rank strands serially here
-    spec_fields, config, cache = payload
-    return analyze(chebyshev=ChebyshevSpec(*spec_fields),
-                   config=replace(config, jobs=1), cache=cache)
+    spec, config, cache = payload
+    return analyze(chebyshev=spec, config=config, cache=cache)
 
 
 def _cmd_chebyshev(args) -> int:
     ds = _parse_degree_spec(args.d, args.even_only)
-    for d in ds:
-        _check_degree_cap(args.n, d, args.max_degree)
     config = _run_config(args)
-    specs = []
     for d in ds:
-        if args.k is not None:
-            specs.append(ChebyshevSpec(args.n, d, args.k))
-        else:
-            specs.append(canonical_spec(args.n, d))
+        check_degree_cap(args.n, d, config.max_degree)
+    specs = [canonical_spec(args.n, d) if args.k is None
+             else ChebyshevSpec(args.n, d, args.k) for d in ds]
 
+    # a grid of several specs is spread over processes: each ranks its
+    # strands serially; a single spec keeps the strand-level pool
+    grid_config = replace(config, jobs=1) if len(specs) > 1 else config
     cache = _cache(args)
-    reports = []
     t0 = time.time()
-    if args.jobs > 1 and len(specs) > 1:
-        payloads = [((s.n, s.d, s.k), config, cache) for s in specs]
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
-            futures = [pool.submit(_grid_worker, p) for p in payloads]
-            for fut in as_completed(futures):
-                reports.append(_finish(fut.result(), args, t0))
-    else:
-        for spec in specs:
-            reports.append(_finish(
-                analyze(chebyshev=spec, config=config, cache=cache),
-                args, t0))
-    reports.sort(key=lambda r: (r.n, r.d))
+    reports = [_finish(rep, args, t0) for rep in parallel_map(
+        _grid_worker, [(s, grid_config, cache) for s in specs], config.jobs)]
 
     verdicts = sorted((v for r in reports for v in r.conjectures),
                       key=lambda v: (v.name, v.n, v.d))
@@ -274,37 +245,28 @@ def _cmd_defects(args) -> int:
     spec = None
     if args.cc is not None:
         spec = _parse_cc_arg(args.cc)
-        _check_degree_cap(spec.n, spec.d, args.max_degree)
         report = analyze(chebyshev=spec, config=config, cache=cache)
     else:
         f, label = _read_polynomial_arg(args.polynomial, args.num_vars)
-        _check_degree_cap(f.num_vars - 1, f.degree, args.max_degree)
         report = analyze(f, source=label, config=config, cache=cache)
     if report.defects is None:
         raise CommandError("no defect table for this input")
 
+    defects = report.defects.items()
     oracle = None
     mismatches = []
     if args.oracle:
         if spec is None or not spec.singular:
             raise CommandError("--oracle needs a singular --cc input")
         ocfg = OracleConfig(seed=config.seed)
-        oracle = {}
-        for k in range(report.thresholds.T + 1):
-            oracle[k] = defect_direct(spec.n, spec.d, k, k_shift=spec.k,
-                                      config=ocfg)
-            if oracle[k] != report.defects.defect(k):
-                mismatches.append(k)
+        oracle = {k: defect_direct(spec.n, spec.d, k, k_shift=spec.k,
+                                   config=ocfg) for k, _ in defects}
+        mismatches = [k for k, v in defects if oracle[k] != v]
 
-    T = report.thresholds.T
     if args.format == "csv":
-        header = "k,defect" + (",oracle_defect" if oracle else "")
-        lines = [header]
-        for k in range(T + 1):
-            row = f"{k},{report.defects.defect(k)}"
-            if oracle:
-                row += f",{oracle[k]}"
-            lines.append(row)
+        lines = ["k,defect" + (",oracle_defect" if oracle else "")]
+        lines += [f"{k},{v}" + (f",{oracle[k]}" if oracle else "")
+                  for k, v in defects]
         content = "\n".join(lines) + "\n"
     elif args.format == "json":
         content = json.dumps({
@@ -312,17 +274,14 @@ def _cmd_defects(args) -> int:
             "source": report.source,
             "n": report.n, "d": report.d,
             "node_count": report.defects.node_count,
-            "defects": [[k, report.defects.defect(k)] for k in range(T + 1)],
-            "oracle_defects": [[k, oracle[k]] for k in range(T + 1)]
+            "defects": report.defects.to_list(),
+            "oracle_defects": [[k, v] for k, v in oracle.items()]
                               if oracle else None,
         }, sort_keys=True, indent=2) + "\n"
     else:
-        nz = report.defects.nonzero()
-        content = (f"source: {report.source}\nnodes: "
-                   f"{report.defects.node_count}\n"
-                   + ("nonzero defects: "
-                      + (", ".join(f"S_{k}={v}" for k, v in nz) or "none"))
-                   + "\n")
+        content = (f"source: {report.source}\n"
+                   f"nodes: {report.defects.node_count}\n"
+                   f"{report.defects.text_line()}\n")
         if oracle is not None:
             content += ("oracle agrees on all degrees\n" if not mismatches
                         else f"oracle mismatch at k={mismatches}\n")
@@ -451,6 +410,18 @@ def _cmd_cache(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _polynomial_input(p: argparse.ArgumentParser,
+                      optional: bool = False) -> None:
+    """Polynomial and --num-vars; --n and --d when the polynomial is required."""
+    p.add_argument("polynomial", nargs="?" if optional else None,
+                   help="polynomial file, inline text, or - for stdin")
+    p.add_argument("--num-vars", type=int,
+                   help="number of variables (default: inferred)")
+    if not optional:
+        p.add_argument("--n", type=int, help="expected ambient dimension")
+        p.add_argument("--d", type=int, help="expected degree")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     parser = argparse.ArgumentParser(
@@ -460,12 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common],
                        help="full pipeline on one polynomial")
-    p.add_argument("polynomial",
-                   help="polynomial file, inline text, or - for stdin")
-    p.add_argument("--num-vars", type=int,
-                   help="number of variables (default: inferred)")
-    p.add_argument("--n", type=int, help="expected ambient dimension")
-    p.add_argument("--d", type=int, help="expected degree")
+    _polynomial_input(p)
     p.add_argument("--no-nodal", action="store_true",
                    help="do not assume nodal singularities; "
                         "skip defect, Alexander, and Betti output")
@@ -482,19 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chebyshev)
 
     p = sub.add_parser("hilbert", parents=[common],
-                       help="Hilbert function and thresholds only")
-    p.add_argument("polynomial",
-                   help="polynomial file, inline text, or - for stdin")
-    p.add_argument("--num-vars", type=int)
-    p.add_argument("--n", type=int, help="expected ambient dimension")
-    p.add_argument("--d", type=int, help="expected degree")
-    p.set_defaults(func=_cmd_hilbert)
+                       help="Hilbert function and thresholds only "
+                            "(analyze --no-nodal)")
+    _polynomial_input(p)
+    p.set_defaults(func=_cmd_analyze, no_nodal=True)
 
     p = sub.add_parser("defects", parents=[common],
                        help="defect table of a node set")
-    p.add_argument("polynomial", nargs="?",
-                   help="polynomial file, inline text, or - for stdin")
-    p.add_argument("--num-vars", type=int)
+    _polynomial_input(p, optional=True)
     p.add_argument("--cc", metavar="N,D[,K]",
                    help="use the Chebyshev hypersurface instead")
     p.add_argument("--oracle", action="store_true",
@@ -526,9 +487,6 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except NotNodalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except ReportLintError as exc:
         print(f"error: report failed the consistency lint: {exc}",
               file=sys.stderr)

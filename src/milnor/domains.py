@@ -2,9 +2,10 @@
 
 Rational coefficients are plain ints and Fractions throughout.  Cyclotomic
 fields Q(zeta_m) are represented as Q[x] modulo the m-th cyclotomic
-polynomial; their elements have exact ring operators and truthiness as the
-zero test, so they drop into SparsePolynomial and the elimination routines
-unchanged.
+polynomial.  Their elements have the exact ring operators (+, -, *,
+non-negative powers, ==, hash) and truthiness as the zero test, so they
+drop into SparsePolynomial evaluation unchanged.  Nothing divides by a
+field element, so there is no inverse.
 """
 
 from __future__ import annotations
@@ -130,65 +131,6 @@ def _poly_exact_div_int(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn = len(den) - 1
-    while len(den) > 1 and not den[-1]:
-        den = den[:-1]
-        dn -= 1
-    if not any(den):
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
-    for shift in range(len(quot) - 1, -1, -1):
-        q = num[shift + dn] / lead
-        quot[shift] = q
-        if q:
-            for i, c in enumerate(den):
-                num[shift + i] -= q * c
-    rem = num[:dn]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    # extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 class CyclotomicElement:
     """Element of Q(zeta_m) as a coefficient vector on 1, x, ..., x^(phi-1)."""
 
@@ -258,25 +200,10 @@ class CyclotomicElement:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> CyclotomicElement:
-        if not self:
-            raise ZeroDivisionError("inverting zero")
-        modulus = [Fraction(c) for c in self.field.modulus]
-        g, s, _ = _poly_xgcd(list(self.coeffs), modulus)
-        if len(g) != 1:
-            raise ArithmeticError("modulus is not irreducible over Q")
-        inv = [c / g[0] for c in s]
-        return CyclotomicElement(self.field, inv)
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, e: int):
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
+        if e < 0:
+            raise ValueError("negative exponent: no division in this field")
+        base = self
         result = self.field.one()
         while e:
             if e & 1:
@@ -317,8 +244,6 @@ class CyclotomicField:
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.phi = len(self.modulus) - 1
-        self.characteristic = 0
-        self.name = f"QQ(zeta_{order})"
         # reduction_rows[j] expresses x^(phi+j) on the basis 1..x^(phi-1)
         rows: list[tuple[int, ...]] = []
         first = [-c for c in self.modulus[:-1]]  # modulus is monic
@@ -341,15 +266,6 @@ class CyclotomicField:
 
     def scalar(self, c) -> CyclotomicElement:
         return CyclotomicElement(self, [c])
-
-    def coerce(self, x) -> CyclotomicElement:
-        if isinstance(x, CyclotomicElement):
-            if x.field.order != self.order:
-                raise ValueError("mixed cyclotomic orders")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return self.scalar(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
 
     def zeta(self, power: int = 1) -> CyclotomicElement:
         """zeta_m^power, reduced into the basis."""

@@ -108,12 +108,7 @@ def hilbert_function(
         up_to = T + 1
     grad = partial_derivatives(f, d)
     ks = list(range(up_to + 1))
-    if jobs > 1:
-        # a fork pool starts all its workers at once: no more than tasks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ks))) as pool:
-            results = list(pool.map(_strand_rank, [(grad, k, config) for k in ks]))
-    else:
-        results = [_strand_rank((grad, k, config)) for k in ks]
+    results = parallel_map(_strand_rank, [(grad, k, config) for k in ks], jobs)
     dims = [num_monomials(n + 1, k) - res.rank for k, res in zip(ks, results)]
     smooth = smooth_hilbert(n, d)
     smooth_match = all(dims[k] == smooth.dim(k) for k in ks)
@@ -137,6 +132,18 @@ def hilbert_function(
         certified=all(res.certified for res in results),
         rank_details=list(results),
     )
+
+
+def parallel_map(fn, tasks: list, jobs: int = 1) -> list:
+    """[fn(t) for t in tasks], in input order, on a process pool if jobs > 1.
+
+    One task, or jobs = 1, runs in this process.  A fork pool starts all
+    its workers at once, so it gets no more workers than tasks.
+    """
+    if jobs < 2 or len(tasks) < 2:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _strand_rank(args) -> RankResult:

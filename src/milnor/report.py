@@ -24,6 +24,7 @@ from .chebyshev import (ChebyshevSpec, ConjectureVerdict, build,
 from .hilbert import (HilbertFunction, ThresholdReport, hilbert_function,
                       smooth_hilbert, thresholds)
 from .linalg import RankConfig
+from .monomials import num_monomials
 from .poly import SparsePolynomial, format_polynomial
 from .topology import (AlexanderPolynomial, BettiNumbers, DefectTable,
                        TheoremCheck, alexander_polynomial, betti_numbers,
@@ -43,6 +44,20 @@ class RunConfig(RankConfig):
 
     max_degree: Optional[int] = 20
     jobs: int = 1
+
+
+def check_degree_cap(n: int, d: int, cap: Optional[int]) -> None:
+    """Refuse degree d in P^n above cap, saying how large the run would be."""
+    if cap is None or d <= cap:
+        return
+    T = (n + 1) * (d - 2)
+    rows = num_monomials(n + 1, T + 1)
+    cols = (n + 1) * num_monomials(n + 1, T + 1 - (d - 1))
+    raise ValueError(
+        f"degree {d} exceeds the cap {cap}: this run would need "
+        f"{T + 2} strand ranks, the largest on a {rows} x {cols} matrix "
+        f"({rows * cols:,} cells); raise max_degree (--max-degree) "
+        "to proceed")
 
 
 class ReportLintError(RuntimeError):
@@ -114,8 +129,7 @@ class HypersurfaceReport:
                 "T": t.T, "tau": t.tau, "ct": t.ct, "st": t.st,
                 "mdr": t.mdr, "smooth": t.smooth,
             },
-            "defects": [[k, v] for k, v in self.defects.items()]
-                       if self.defects else None,
+            "defects": self.defects.to_list() if self.defects else None,
             "alexander": {
                 "sign": self.alexander.sign,
                 "exponent": self.alexander.exponent,
@@ -155,9 +169,7 @@ class HypersurfaceReport:
             out.append(f"tau = {t.tau}, ct = {t.ct}, st = {t.st}, "
                        f"mdr = {t.mdr}")
         if self.defects:
-            nz = self.defects.nonzero()
-            out.append("nonzero defects: "
-                       + (", ".join(f"S_{k}={v}" for k, v in nz) or "none"))
+            out.append(self.defects.text_line())
         if self.alexander:
             out.append(f"alexander polynomial: {self.alexander.text()}")
         if self.betti:
@@ -186,8 +198,7 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
             source: Optional[str] = None,
             config: Optional[RunConfig] = None,
             nodal: bool = True,
-            cache: Optional[HilbertCache] = None,
-            lint: bool = True) -> HypersurfaceReport:
+            cache: Optional[HilbertCache] = None) -> HypersurfaceReport:
     """Run the full pipeline on a polynomial or a Chebyshev spec.
 
     With a cache, the Hilbert function is read from it or computed and
@@ -207,10 +218,7 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
         nodal = True
     source = source or "inline"
 
-    d = f.degree
-    if config.max_degree is not None and d > config.max_degree:
-        raise ValueError(f"degree {d} exceeds the cap {config.max_degree}; "
-                         "raise it explicitly to proceed")
+    check_degree_cap(f.num_vars - 1, f.degree, config.max_degree)
 
     if cache is not None:
         hf = cached_hilbert_function(f, config, cache, jobs=config.jobs)
@@ -241,8 +249,7 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
         defects=defects, alexander=alex, betti=betti, checks=checks,
         conjectures=verdicts, certified=hf.certified and t.certified)
 
-    if lint:
-        failures = report.lint_failures()
-        if failures:
-            raise ReportLintError("; ".join(failures), report)
+    failures = report.lint_failures()
+    if failures:
+        raise ReportLintError("; ".join(failures), report)
     return report

@@ -66,6 +66,14 @@ class DefectTable:
     def nonzero(self) -> list[tuple[int, int]]:
         return [(k, v) for k, v in self.items() if v]
 
+    def to_list(self) -> list[list[int]]:
+        """[[k, S_k], ...] for 0 <= k <= T, as JSON reports carry it."""
+        return [[k, v] for k, v in self.items()]
+
+    def text_line(self) -> str:
+        return "nonzero defects: " + (
+            ", ".join(f"S_{k}={v}" for k, v in self.nonzero()) or "none")
+
 
 def defect_table(hf: HilbertFunction, smooth: HilbertFunction) -> DefectTable:
     T = hf.T

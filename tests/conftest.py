@@ -1,10 +1,8 @@
 """Shared fixtures: memoized full-pipeline runs, reused across test modules."""
 
-from concurrent.futures import Future
-
 import pytest
 
-from milnor import cli, hilbert
+from milnor import hilbert
 from milnor.chebyshev import ChebyshevSpec, canonical_spec
 from milnor.poly import parse_polynomial
 from milnor.report import RunConfig, analyze
@@ -58,7 +56,7 @@ def fermat(pipeline):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap the process pools of hilbert and cli for a serial stand-in.
+    """Swap the process pool of hilbert.parallel_map for a serial stand-in.
 
     Returns the list of max_workers each pool was asked for; no process is
     started, whatever --jobs says.
@@ -78,11 +76,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    for module in (hilbert, cli):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(hilbert, "ProcessPoolExecutor", SerialPool)
     return sizes

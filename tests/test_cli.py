@@ -149,7 +149,8 @@ def test_chebyshev_bad_degree_spec(capsys):
 def test_chebyshev_degree_cap_refusal(capsys):
     code, _, err = run(["chebyshev", "--n", "3", "--d", "24"], capsys)
     assert code == 1
-    assert "exceeds --max-degree" in err and "cells" in err
+    assert "exceeds the cap 20" in err and "--max-degree" in err
+    assert "cells" in err
 
 
 def test_hilbert_csv(capsys):
@@ -202,6 +203,18 @@ def test_cache_inspect_and_clear_cli(tmp_path, capsys):
     assert "no entries" in out
 
 
+def test_cache_inspect_lists_non_object_entries_as_corrupt(tmp_path,
+                                                          capsys):
+    cache_dir = tmp_path / "odd"
+    cache_dir.mkdir()
+    for key, blob in (("aa", "[]"), ("bb", "3"), ("cc", "null")):
+        (cache_dir / f"{key}.json").write_text(blob)
+    code, out, err = run(["cache", "inspect", "--cache-dir", str(cache_dir)],
+                         capsys)
+    assert code == 0 and not err
+    assert out.count("CORRUPT") == 3 and "3 entries" in out
+
+
 def test_cache_reuse_between_runs(tmp_path, capsys):
     import time
     code, first, _ = run(["analyze", KUMMER_TEXT], capsys)
@@ -244,3 +257,46 @@ def test_usage_errors_exit_one(capsys):
         assert "usage:" in err, argv
     code, out, _ = run(["--help"], capsys)
     assert code == 0 and "usage: milnor" in out
+
+
+# -- bytes pinned across refactors of the CLI -----------------------------------
+
+_DEFECTS_CC34_ORACLE = {
+    "json": ("477564764c61377a078fb9c9871372af00b3e37deac2ce919a6e33a6c4bf4b1e",
+             668),
+    "csv": ("406dd5b970e6e2ba8511567d4e2bf5f6eb1ace05bd6b9ce589628833d31f9d16",
+            79),
+    "text": ("81c1b0b9614acfccf279a612c9ee82ac848492f37c4d46fda11d7af68e2cbdf5",
+             93),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_DEFECTS_CC34_ORACLE))
+def test_defects_oracle_frozen_bytes(fmt, capsys):
+    import hashlib
+    code, out, _ = run(["defects", "--cc", "3,4", "--oracle", "--no-cache",
+                        "--format", fmt], capsys)
+    assert code == 0
+    blob = out.encode()
+    assert (hashlib.sha256(blob).hexdigest(), len(blob)) == \
+        _DEFECTS_CC34_ORACLE[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_hilbert_equals_analyze_no_nodal(fmt, capsys):
+    code, hilbert, _ = run(["hilbert", KUMMER_TEXT, "--format", fmt], capsys)
+    assert code == 0
+    code, analyzed, _ = run(["analyze", KUMMER_TEXT, "--no-nodal",
+                             "--format", fmt], capsys)
+    assert code == 0 and hilbert == analyzed
+
+
+def test_chebyshev_pooled_verdicts_equal_serial(tmp_path, capsys):
+    argv = ["chebyshev", "--n", "2", "--d", "3..6", "--no-cache", "--out"]
+    code, _, _ = run(argv + [str(tmp_path / "serial")], capsys)
+    assert code == 0
+    code, _, _ = run(argv + [str(tmp_path / "pooled"), "--jobs", "2"], capsys)
+    assert code == 0
+    serial = (tmp_path / "serial" / "verdicts.csv").read_bytes()
+    assert (tmp_path / "pooled" / "verdicts.csv").read_bytes() == serial
+    assert serial.count(b"\n") > 1

@@ -93,8 +93,9 @@ def test_analyze_argument_validation():
 
 def test_analyze_degree_cap():
     f = parse_polynomial("x0^9 + x1^9 + x2^9", num_vars=3)
-    with pytest.raises(ValueError, match="exceeds the cap"):
+    with pytest.raises(ValueError, match="exceeds the cap") as exc:
         analyze(f, config=RunConfig(max_degree=8))
+    assert "cells" in str(exc.value)
     rep = analyze(f, config=RunConfig(max_degree=9))
     assert rep.thresholds.smooth
 
@@ -188,6 +189,16 @@ def test_cache_entry_missing_field_skipped(tmp_path):
         json.dump(data, fh)
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         assert cache.load(key) is None
+
+
+@pytest.mark.parametrize("blob", ["[]", "3", "null"])
+def test_cache_non_object_entry_is_corrupt(tmp_path, blob):
+    cache = HilbertCache(str(tmp_path))
+    (tmp_path / "deadbeef.json").write_text(blob + "\n")
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert cache.load("deadbeef") is None
+    assert cache.entries() == [{"key": "deadbeef", "size": len(blob) + 1,
+                                "corrupt": True}]
 
 
 def test_cache_inspect_and_clear(tmp_path):
