@@ -129,7 +129,7 @@ def _emit(content: str, args, filename: str) -> None:
 
 def _finish(report, args, t0: float):
     if args.timing:
-        report.timing = {"seconds": round(time.time() - t0, 3)}
+        report.timing = {"seconds": round(time.perf_counter() - t0, 3)}
     return report
 
 
@@ -144,7 +144,7 @@ def _cmd_analyze(args) -> int:
     if args.d is not None and args.d != d:
         raise CommandError(f"input has degree {d}, expected --d {args.d}")
     config = _run_config(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = _finish(analyze(f, source=label, config=config,
                              nodal=not args.no_nodal, cache=_cache(args)),
                      args, t0)
@@ -193,7 +193,7 @@ def _cmd_chebyshev(args) -> int:
     # strands serially; a single spec keeps the strand-level pool
     grid_config = replace(config, jobs=1) if len(specs) > 1 else config
     cache = _cache(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = [_finish(rep, args, t0) for rep in parallel_map(
         _grid_worker, [(s, grid_config, cache) for s in specs], config.jobs)]
 

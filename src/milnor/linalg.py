@@ -20,7 +20,11 @@ is ranked and counted with the orbit's size.  Each ranked block gets its
 own engine:
   * dense mod-p elimination a panel of columns at a time: int64 row
     operations on the panel, then the Schur complement of the remaining
-    columns in one 16-bit-split float64 BLAS matmul (exact for p < 2^31);
+    columns in float64 BLAS matmuls of the left factor's two halves (exact
+    for p < 2^31).  A block is ranked mod a whole batch of primes
+    at once: its residues form one (rows, primes, cols) stack, and every
+    prime is eliminated with the same pivot rows, so the per-column Python
+    work is paid once per block rather than once per prime;
   * sparse Markowitz elimination that escapes to the dense kernel when the
     active submatrix fills in;
   * Wiedemann/Berlekamp-Massey blackbox for very large sparse inputs
@@ -41,19 +45,23 @@ from math import lcm
 import numpy as np
 
 from .domains import draw_distinct_primes
-from .monomials import monomial_index, monomials_of_degree, num_monomials
+from .monomials import grlex_ranks, monomial_index, monomials_of_degree, num_monomials
 
 # Engine thresholds, applied by _engine to each block: above BLACKBOX_NNZ
 # nonzeros the Wiedemann blackbox runs; otherwise narrow or dense blocks go
 # straight to the dense kernel and the rest to Markowitz elimination.
 # Markowitz elimination hands its active submatrix to the dense kernel once
 # it has at most DENSE_COLS columns or a density above ESCAPE_DENSITY; the
-# dense kernel takes DENSE_PANEL columns per panel.
+# dense kernel takes DENSE_PANEL columns per panel.  A dense block is
+# stacked with as many primes as keep rows x primes x cols within
+# STACK_CELLS (at least one), so large blocks keep one prime at a time and
+# their peak memory does not grow with the prime count.
 BLACKBOX_NNZ = 200_000
 DENSE_COLS = 700
 DENSE_DENSITY = 0.02
 ESCAPE_DENSITY = 0.04
 DENSE_PANEL = 48
+STACK_CELLS = 1 << 17
 
 # Certification cutoffs, applied by certified_rank: primes disagreeing
 # escalate to ESCALATION_PRIMES primes in all; a matrix of at most
@@ -171,21 +179,57 @@ class StrandMatrix:
             rep[1] += 1
         return [(block, count) for block, count in reps.values()]
 
-    def dense_modp(self, p: int) -> np.ndarray:
-        out = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
-        for r, c, v in self.entries:
-            out[r, c] = (out[r, c] + _residue(v, p)) % p
+    @cached_property
+    def denominator(self) -> int:
+        """The lcm of the entries' denominators, 1 for an integer matrix.
+
+        A prime dividing it kills a denominator, so it is a BadPrime for
+        this matrix and for each of its blocks.
+        """
+        kinds = {type(v) for _, _, v in self.entries}
+        if not kinds <= {int, bool, Fraction}:
+            bad = next(iter(kinds - {int, bool, Fraction}))
+            raise TypeError(f"unsupported entry type {bad.__name__}")
+        if Fraction not in kinds:
+            return 1
+        return lcm(*{v.denominator for _, _, v in self.entries})
+
+    def _entries_modp(self, primes):
+        """Row and column index arrays of the entries, and their (nnz,
+        primes) residues, from one pass over the entries.
+
+        Raises BadPrime if a prime divides a denominator.
+        """
+        rows = np.fromiter((e[0] for e in self.entries), np.int64, self.nnz)
+        cols = np.fromiter((e[1] for e in self.entries), np.int64, self.nnz)
+        mod = np.array(primes, dtype=np.int64)
+        vals = _mod(_int_array([v.numerator for _, _, v in self.entries]), mod)
+        if self.denominator != 1:
+            dens = _mod(_int_array([v.denominator for _, _, v in self.entries]), mod)
+            for j, p in enumerate(primes):
+                if not dens[:, j].all():
+                    raise BadPrime(f"{p} divides a denominator")
+                values, back = np.unique(dens[:, j], return_inverse=True)
+                inv = np.array([pow(v, -1, p) for v in values.tolist()],
+                               dtype=np.int64)
+                vals[:, j] = vals[:, j] * inv[back] % p
+        return rows, cols, vals
+
+    def residues(self, primes) -> np.ndarray:
+        """The (rows, primes, cols) int64 stack of the matrix mod each prime."""
+        rows, cols, vals = self._entries_modp(primes)
+        out = np.zeros((self.num_rows, len(primes), self.num_cols), dtype=np.int64)
+        flat = np.sort(rows * self.num_cols + cols)
+        if (flat[1:] != flat[:-1]).all():
+            out[rows, :, cols] = vals
+        else:  # repeated positions add up
+            np.add.at(out, (rows, slice(None), cols), vals)
+            out %= np.array(primes, dtype=np.int64)[:, None]
         return out
 
     def triples_modp(self, p: int):
-        rows = np.empty(len(self.entries), dtype=np.int64)
-        cols = np.empty(len(self.entries), dtype=np.int64)
-        vals = np.empty(len(self.entries), dtype=np.int64)
-        for i, (r, c, v) in enumerate(self.entries):
-            rows[i] = r
-            cols[i] = c
-            vals[i] = _residue(v, p)
-        return rows, cols, vals
+        rows, cols, vals = self._entries_modp((p,))
+        return rows, cols, vals[:, 0]
 
 
 def _root(parent: list[int], x: int) -> int:
@@ -221,15 +265,19 @@ def _check_same_entries(block: StrandMatrix, rep: StrandMatrix) -> None:
                          "values")
 
 
-def _residue(value, p: int) -> int:
-    if isinstance(value, int):
-        return value % p
-    if isinstance(value, Fraction):
-        den = value.denominator % p
-        if den == 0:
-            raise BadPrime(f"{p} divides a denominator")
-        return value.numerator % p * pow(den, -1, p) % p
-    raise TypeError(f"unsupported entry type {type(value).__name__}")
+def _int_array(values: list[int]) -> np.ndarray:
+    """values as int64, or as an object array when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _mod(values: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """The (len(values), len(mod)) int64 table of values[i] mod mod[j]."""
+    if values.dtype == object:
+        return (values[:, None] % mod.astype(object)).astype(np.int64)
+    return values[:, None] % mod
 
 
 def _exact(value):
@@ -264,16 +312,19 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
     num_cols = len(partials) * len(multipliers)
     entries = []
     if num_cols:
-        row_of = monomial_index(num_vars, k)
+        mults = np.array(multipliers, dtype=np.int64)
         for i, gen in enumerate(partials):
-            base = i * len(multipliers)
-            terms = [(tuple(m), _exact(c)) for m, c in gen.sorted_terms()]
-            for j, mult in enumerate(multipliers):
-                col = base + j
-                for mono, coeff in terms:
-                    # plain tuple addition; the index dict accepts raw tuples
-                    row = row_of[tuple(x + y for x, y in zip(mult, mono))]
-                    entries.append((row, col, coeff))
+            terms = gen.sorted_terms()
+            if not terms:
+                continue
+            monos = np.array([m for m, _ in terms], dtype=np.int64)
+            coeffs = [_exact(c) for _, c in terms]
+            # entry (j, t): multiplier j times term t, in row-major order
+            rows = grlex_ranks(mults[:, None, :] + monos[None, :, :])
+            cols = np.repeat(np.arange(i * len(multipliers),
+                                       (i + 1) * len(multipliers)), len(terms))
+            entries.extend(zip(rows.ravel().tolist(), cols.tolist(),
+                               coeffs * len(multipliers)))
     return StrandMatrix(num_rows, num_cols, entries, k=k, d=d, n=n,
                         symmetries=_variable_transpositions(partials))
 
@@ -305,36 +356,48 @@ def _variable_transpositions(partials) -> tuple[tuple[int, int], ...]:
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p for int64 inputs reduced mod p < 2^31.
 
-    Splits each factor into 16-bit halves so every float64 matmul stays
-    below 2^53 (the inner dimension may be at most 2^20), and adds the four
-    products into one int64 array in place by Horner's rule in 2^16, so at
-    most one float64 product and one half of b are alive beside it.
+    Splits only a, at bit 15, into halves below 2^16 and 2^15, and takes
+    two float64 products per chunk of 64 inner indices: against b < 2^31
+    their sums stay below 64 * 2^47 = 2^53 and 64 * 2^46 = 2^52, so both
+    are exact.  The high product, reduced and shifted by 15 bits, is below
+    2^46, so the low product is added to it exactly in float64 and in
+    place.  With one chunk, at most one product is alive beside the result.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
-    if a.shape[1] > 1 << 20:
-        raise ValueError("inner dimension too large for the split trick")
-    ah = (a >> 16).astype(np.float64)
-    al = (a & 0xFFFF).astype(np.float64)
-    bh = (b >> 16).astype(np.float64)
-    out = (ah @ bh).astype(np.int64)
-    out %= p
-    out <<= 16
-    # out < 2^47 after a shift and the products added to it sum below
-    # 2^52, so every float64 sum is exact
-    np.add(out, al @ bh, out=out, casting="unsafe")
-    del bh
-    bl = (b & 0xFFFF).astype(np.float64)
-    np.add(out, ah @ bl, out=out, casting="unsafe")
-    out %= p
-    out <<= 16
-    np.add(out, al @ bl, out=out, casting="unsafe")
-    out %= p
+    ah = (a >> 15).astype(np.float64)
+    al = (a & 0x7FFF).astype(np.float64)
+    bf = b.astype(np.float64)
+    out = None
+    for s in range(0, a.shape[1], 64):
+        part = (ah[:, s : s + 64] @ bf[s : s + 64]).astype(np.int64)
+        part %= p
+        part <<= 15
+        np.add(part, al[:, s : s + 64] @ bf[s : s + 64], out=part, casting="unsafe")
+        if out is not None:
+            part += out
+        part %= p
+        out = part
+    if out is None:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     return out
 
 
-def rank_dense_modp(a: np.ndarray, p: int) -> int:
+def rank_dense_modp(a: np.ndarray, p):
     """Rank of an int64 matrix mod p < 2^31; entries must lie in [0, p).
+
+    Given instead a (rows, primes, cols) stack and a sequence of primes p,
+    with a[:, j] reduced mod p[j], returns the list of ranks mod each
+    prime, eliminating them all in one lockstep pass.  The input is not
+    changed.
+    """
+    if a.ndim == 2:
+        return _rank_stack(a[:, None, :], (p,))[0]
+    return _rank_stack(a, tuple(p))
+
+
+def _rank_stack(a: np.ndarray, primes: tuple[int, ...]) -> list[int]:
+    """Ranks of the (rows, primes, cols) stack a, a[:, j] mod primes[j].
 
     Takes DENSE_PANEL columns at a time.  The panel is eliminated in int64
     (every product stays below 2^62) over the rows with no pivot yet, and
@@ -342,34 +405,67 @@ def rank_dense_modp(a: np.ndarray, p: int) -> int:
     row r becomes the k-th pivot.  A row i left without a pivot is then
     a_i + y_i a_P on the later columns, a_P the pivot rows, so the rank is
     the pivot count plus the rank of that Schur complement, which takes one
-    matmul_modp per panel.  The input is not changed.
+    matmul_modp per panel and prime.
+
+    Every prime pivots on the same row: the first free one that is nonzero
+    mod all of them.  Rows nonzero mod only some primes are reduced mod
+    those, so each prime sees its own elimination and all share one rank.
+    A column with a candidate mod some prime but no row nonzero mod all of
+    them splits the stack: each prime then ranks the panel's input alone.
     """
+    mod = np.array(primes, dtype=np.int64)
     rank = 0
-    while a.shape[0] and a.shape[1]:
-        b = min(DENSE_PANEL, a.shape[1])
-        work = np.zeros((a.shape[0], 2 * b), dtype=np.int64)  # panel | y
-        work[:, :b] = a[:, :b]
-        free = np.ones(a.shape[0], dtype=bool)
+    while a.shape[0] and a.shape[2]:
+        m, n = a.shape[0], a.shape[2]
+        b = min(DENSE_PANEL, n)
+        work = np.zeros((m, len(primes), 2 * b), dtype=np.int64)  # panel | y
+        work[:, :, :b] = a[:, :, :b]
+        free = np.ones(m, dtype=bool)
         pivots: list[int] = []
         for c in range(b):
-            rows = np.flatnonzero(free & (work[:, c] != 0))
-            if rows.size == 0:
+            # pivot rows are zeroed once used, so only free rows show here;
+            # residues are >= 0, so max and min over the primes test them
+            column = work[:, :, c]
+            if not np.count_nonzero(column):
                 continue
-            r, rest = rows[0], rows[1:]
-            work[r, b + len(pivots)] = 1
-            f = work[rest, c] * pow(int(work[r, c]), -1, p) % p
-            work[rest, c:] = (work[rest, c:] - f[:, None] * work[r, c:]) % p
+            rows = np.maximum.reduce(column, axis=1).nonzero()[0]
+            common = np.minimum.reduce(column[rows], axis=1) != 0
+            if common[0]:
+                r, rest = rows[0], rows[1:]
+            elif common.any():
+                i = common.argmax()
+                r, rest = rows[i], np.delete(rows, i)
+            else:
+                return [rank + _rank_stack(a[:, j : j + 1], (p,))[0]
+                        for j, p in enumerate(primes)]
+            pivot = work[r]
+            pivot[:, b + len(pivots)] = 1
+            if rest.size:
+                inv = [pow(v, -1, p) for v, p in zip(pivot[:, c].tolist(), primes)]
+                sub = work[rest, :, c:]
+                f = sub[:, :, 0] * np.array(inv, dtype=np.int64) % mod
+                sub -= f[:, :, None] * pivot[:, c:]
+                sub %= mod[:, None]
+                work[rest, :, c:] = sub
+            pivot[:] = 0
             free[r] = False
             pivots.append(r)
+            if len(pivots) == m:
+                break
         rank += len(pivots)
         rest = np.flatnonzero(free)
-        if rest.size == 0 or b == a.shape[1]:
+        if rest.size == 0 or b == n:
             break
-        a_next = matmul_modp(work[rest, b : b + len(pivots)], a[pivots, b:], p)
-        a_next += a[rest, b:]
-        a_next %= p
+        schur = [matmul_modp(work[rest, j, b : b + len(pivots)], a[pivots, j, b:], p)
+                 for j, p in enumerate(primes)]
+        # a stack of one takes its product as it is: large blocks come one
+        # prime at a time, and a copy would add to their peak memory
+        a_next = schur[0][:, None] if len(schur) == 1 else np.stack(schur, axis=1)
+        del schur
+        a_next += a[rest, :, b:]
+        a_next %= mod[:, None]
         a = a_next
-    return rank
+    return [rank] * len(primes)
 
 
 # -- sparse Markowitz elimination ---------------------------------------------------
@@ -658,8 +754,8 @@ class RankConfig:
 
     Defaults match the CLI defaults; the cutoffs are module constants.
     Primes are drawn as 31-bit values: the dense kernel needs p < 2^31 so
-    that its int64 panel products stay below 2^62 and the 16-bit halves of
-    its matmul factors give exact float64 products.
+    that its int64 panel products stay below 2^62 and the halves of its
+    left matmul factor give exact float64 products.
     """
 
     primes: int = 3
@@ -691,26 +787,51 @@ def _engine(matrix: StrandMatrix) -> str:
     return "sparse"
 
 
-def rank_mod_p(matrix: StrandMatrix, p: int) -> int:
-    """Rank mod p, the sum over the blocks of each block's engine rank.
+def ranks_mod_primes(matrix: StrandMatrix, primes) -> list[int]:
+    """Rank mod each prime, the sum over the blocks of each block's engine rank.
 
-    Each symmetry orbit's representative is ranked once and counted with
-    its multiplicity.  Raises BadPrime if p kills a denominator.
+    Each symmetry orbit's representative is ranked once for all the primes
+    and counted with its multiplicity.  Raises BadPrime if a prime kills a
+    denominator.
     """
-    return sum(count * _rank_block_mod_p(block, p) for block, count in matrix.orbits)
+    primes = tuple(primes)
+    for p in primes:
+        if matrix.denominator % p == 0:
+            raise BadPrime(f"{p} divides a denominator")
+    totals = [0] * len(primes)
+    for block, count in matrix.orbits:
+        for j, rank in enumerate(_block_ranks(block, primes)):
+            totals[j] += count * rank
+    return totals
 
 
-def _rank_block_mod_p(block: StrandMatrix, p: int) -> int:
+def rank_mod_p(matrix: StrandMatrix, p: int) -> int:
+    """Rank mod p: ranks_mod_primes for the one prime."""
+    return ranks_mod_primes(matrix, (p,))[0]
+
+
+def _block_ranks(block: StrandMatrix, primes: tuple[int, ...]) -> list[int]:
+    """A block's rank mod each prime.  Dense blocks take the primes in
+    stacks within STACK_CELLS; the other engines take one at a time."""
     engine = _engine(block)
     if engine == "dense":
-        return rank_dense_modp(block.dense_modp(p), p)
-    rows_idx, cols_idx, vals = block.triples_modp(p)
-    if engine == "blackbox":
-        rng = random.Random(f"blackbox|{p}|{block.num_rows}x{block.num_cols}")
-        return rank_blackbox_modp(
-            block.num_rows, block.num_cols, rows_idx, cols_idx, vals, p, rng
-        )
-    return rank_sparse_modp(block.num_rows, block.num_cols, rows_idx, cols_idx, vals, p)
+        per = max(1, STACK_CELLS // (block.num_rows * block.num_cols))
+        ranks = []
+        for i in range(0, len(primes), per):
+            batch = primes[i : i + per]
+            ranks += rank_dense_modp(block.residues(batch), batch)
+        return ranks
+    ranks = []
+    for p in primes:
+        rows_idx, cols_idx, vals = block.triples_modp(p)
+        if engine == "blackbox":
+            rng = random.Random(f"blackbox|{p}|{block.num_rows}x{block.num_cols}")
+            ranks.append(rank_blackbox_modp(
+                block.num_rows, block.num_cols, rows_idx, cols_idx, vals, p, rng))
+        else:
+            ranks.append(rank_sparse_modp(
+                block.num_rows, block.num_cols, rows_idx, cols_idx, vals, p))
+    return ranks
 
 
 def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
@@ -718,10 +839,12 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
     """Multi-prime rank with certification.
 
     Draws `primes` distinct random 31-bit primes from the stream seeded by
-    seed and salt; on per-prime disagreement escalates to ESCALATION_PRIMES,
-    then falls back to exact fraction-free elimination up to
-    EXACT_FALLBACK_COLS columns.  The exact path also runs unconditionally
-    up to EXACT_VERIFY_COLS columns, and its value is authoritative.  When
+    seed and salt, skips any that divide a denominator and ranks the rest
+    together with ranks_mod_primes; on per-prime disagreement escalates to
+    ESCALATION_PRIMES, ranking the new primes together, then falls back to
+    exact fraction-free elimination up to EXACT_FALLBACK_COLS columns.  The
+    exact path also runs unconditionally up to EXACT_VERIFY_COLS columns,
+    and its value is authoritative.  When
     any block goes to Wiedemann the rank is a Monte Carlo lower bound that
     is never checked exactly, so it is labelled blackbox-iterative and
     reported uncertified even when every prime agrees.
@@ -738,15 +861,17 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
     seen: set[int] = set()
 
     def run_batch(count: int) -> None:
-        while len(primes) < count:
+        # a prime that kills a denominator is skipped before any residue
+        # is formed, so the rest are ranked together
+        batch: list[int] = []
+        while len(primes) + len(batch) < count:
             (p,) = draw_distinct_primes(rng, 1, exclude=seen)
             seen.add(p)
-            try:
-                r = rank_mod_p(matrix, p)
-            except BadPrime:
-                continue
-            primes.append(p)
-            ranks.append(r)
+            if matrix.denominator % p:
+                batch.append(p)
+        if batch:
+            ranks.extend(ranks_mod_primes(matrix, batch))
+            primes.extend(batch)
 
     run_batch(config.primes)
     agreement = len(set(ranks)) == 1

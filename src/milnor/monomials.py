@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 
 class Monomial(tuple):
     """Exponent vector of a power product, e.g. (1, 0, 2) for x0*x2^2."""
@@ -63,6 +65,24 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[Monomial, ...]:
 def monomial_index(num_vars: int, degree: int) -> dict[Monomial, int]:
     """Position of each degree-k monomial in monomials_of_degree(num_vars, k)."""
     return {m: i for i, m in enumerate(monomials_of_degree(num_vars, degree))}
+
+
+def grlex_ranks(exps: np.ndarray) -> np.ndarray:
+    """Position of each exponent row in monomials_of_degree of its degree.
+
+    exps is an int array whose last axis holds the exponents of all the
+    variables.  Monomials with a larger exponent of x_i and the same ones
+    before it come first; with t the degree left after x_i there are
+    C(num_vars - i - 2 + t, t - 1) of them, so the position is a sum of
+    binomials looked up in a table no larger than the inputs' degree.
+    """
+    num_vars = exps.shape[-1]
+    tails = np.cumsum(exps[..., :0:-1], axis=-1)[..., ::-1]
+    top = int(tails.max(initial=0))
+    table = np.array([[comb(num_vars - i - 2 + t, t - 1) if t else 0
+                       for t in range(top + 1)] for i in range(num_vars - 1)],
+                     dtype=np.int64).reshape(num_vars - 1, top + 1)
+    return table[np.arange(num_vars - 1), tails].sum(axis=-1)
 
 
 def num_monomials(num_vars: int, degree: int) -> int:

@@ -12,6 +12,7 @@ from milnor import linalg
 from milnor.chebyshev import build, canonical_spec
 from milnor.domains import draw_distinct_primes
 from milnor.linalg import (
+    BadPrime,
     RankConfig,
     StrandMatrix,
     berlekamp_massey_modp,
@@ -24,7 +25,9 @@ from milnor.linalg import (
     rank_gaussian_field,
     rank_mod_p,
     rank_sparse_modp,
+    ranks_mod_primes,
 )
+from milnor.monomials import grlex_ranks, monomial_index, monomials_of_degree
 from milnor.poly import SparsePolynomial, parse_polynomial, partial_derivatives
 
 
@@ -85,6 +88,25 @@ def test_matmul_modp_largest_residues_and_empty_inner():
     empty = matmul_modp(np.zeros((2, 0), dtype=np.int64),
                         np.zeros((0, 4), dtype=np.int64), p)
     assert empty.shape == (2, 4) and not empty.any()
+
+
+@pytest.mark.parametrize("inner", [64, 65])
+def test_matmul_modp_exact_at_chunk_edges(inner):
+    # one inner chunk holds 64 indices; p - 1 everywhere is the largest
+    # float64 sum a chunk can make, and against p - 2 its terms are odd, so
+    # a sum past 2^53 would round
+    p = (1 << 31) - 1
+    a = np.full((4, inner), p - 1, dtype=np.int64)
+    assert np.array_equal(matmul_modp(a, a.T.copy(), p), np.full((4, 4), inner))
+    b = np.full((inner, 3), p - 2, dtype=np.int64)
+    assert np.array_equal(matmul_modp(a, b, p), np.full((4, 3), 2 * inner))
+    rng = random.Random(inner)
+    a = np.array([[rng.randrange(p) for _ in range(inner)] for _ in range(5)],
+                 dtype=np.int64)
+    b = np.array([[rng.randrange(p) for _ in range(7)] for _ in range(inner)],
+                 dtype=np.int64)
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert np.array_equal(matmul_modp(a, b, p), want.astype(np.int64))
 
 
 def _dense_ranks_match_naive(monkeypatch, a, p, panels=(1, 2, 5, 48)):
@@ -160,6 +182,37 @@ def test_dense_rank_one_matmul_per_panel(monkeypatch):
         # every row holds a pivot after ceil(90 / panel) panels, and the
         # last of them leaves no Schur complement to form
         assert len(calls) == -(-90 // panel) - 1
+
+
+def test_split_off_primes(monkeypatch):
+    """A column nonzero mod some primes of a stack but with no row nonzero
+    mod all of them makes each prime rank alone, as a stack of one."""
+    p0, p1 = 2147483029, 2147482801
+    stacks = []
+    original = linalg._rank_stack
+
+    def spy(a, primes):
+        stacks.append(primes)
+        return original(a, primes)
+
+    monkeypatch.setattr(linalg, "_rank_stack", spy)
+    for a in ([[p0, 1], [p1, 1]], [[p0]]):
+        want = [naive_rank_modp(a, p0), naive_rank_modp(a, p1)]
+        stacks.clear()
+        assert ranks_mod_primes(to_triplets(a), (p0, p1)) == want
+        assert stacks == [(p0, p1), (p0,), (p1,)]
+        stack = np.stack([np.array(a, dtype=np.int64) % p for p in (p0, p1)], axis=1)
+        assert rank_dense_modp(stack, (p0, p1)) == want
+    assert want == [0, 1]
+
+
+def test_grlex_ranks_match_monomial_index():
+    for num_vars in range(1, 6):
+        for degree in range(7):
+            monos = monomials_of_degree(num_vars, degree)
+            exps = np.array(monos, dtype=np.int64).reshape(len(monos), num_vars)
+            index = monomial_index(num_vars, degree)
+            assert grlex_ranks(exps).tolist() == [index[m] for m in monos]
 
 
 def test_sparse_rank_matches_naive(monkeypatch):
@@ -411,15 +464,25 @@ def test_equal_generators_keep_no_symmetry():
         assert rank_mod_p(sm, p) == naive_rank_modp(dense, p)
 
 
+# Kummer's symmetry with rational coefficients: 4/3 in every partial
+RATIONAL_TEXT = ("1/3*x0^4 + 1/3*x1^4 + 1/3*x2^4 + 1/3*x3^4"
+                 " - 1/2*x0^2*x1^2 - 1/2*x0^2*x2^2 - 1/2*x0^2*x3^2"
+                 " - 1/2*x1^2*x2^2 - 1/2*x1^2*x3^2 - 1/2*x2^2*x3^2")
+
+
 @pytest.mark.parametrize("partials", [
     pytest.param(lambda: _cc_partials(4, 4), id="CC(4,4)"),
     pytest.param(lambda: _cc_partials(3, 6), id="CC(3,6)"),
     pytest.param(lambda: _partials(KUMMER_TEXT), id="kummer"),
     pytest.param(lambda: _partials(FERMAT_TEXT), id="fermat"),
+    pytest.param(lambda: _partials(RATIONAL_TEXT), id="rational"),
 ])
 def test_orbit_ranks_equal_block_sums(partials):
+    """Orbit-counted ranks equal the sums over all blocks, and the ranks
+    of one stacked pass over three primes equal each prime's own rank."""
     partials = partials()
     num_vars, d = partials[0].num_vars, partials[0].degree + 1
+    primes = (2147483029, 2147482801, 2147482763)
     num_blocks = num_orbits = 0
     for k in range((d - 2) * num_vars + 2):  # k = 0..T+1
         sm = jacobian_strand_matrix(partials, k)
@@ -427,9 +490,8 @@ def test_orbit_ranks_equal_block_sums(partials):
         assert sum(count for _, count in sm.orbits) == len(blocks)
         num_blocks += len(blocks)
         num_orbits += len(sm.orbits)
-        for p in (2147483029, 2147482801):
-            assert rank_mod_p(sm, p) == sum(
-                linalg._rank_block_mod_p(b, p) for b in blocks)
+        for p, rank in zip(primes, ranks_mod_primes(sm, primes)):
+            assert rank == rank_mod_p(sm, p) == sum(rank_mod_p(b, p) for b in blocks)
         if sm.num_cols <= 48:
             assert rank_exact(sm) == sum(linalg._rank_bareiss(b) for b in blocks)
     assert num_orbits < num_blocks
@@ -449,7 +511,7 @@ def test_one_dense_rank_per_orbit(monkeypatch):
     monkeypatch.setattr(linalg, "rank_dense_modp", spy)
     for p in (2147483029, 2147482801):
         calls.clear()
-        want = sum(original(b.dense_modp(p), p) for b in sm.blocks)
+        want = sum(original(b.residues((p,))[:, 0], p) for b in sm.blocks)
         assert rank_mod_p(sm, p) == want
         assert len(calls) == 5
 
@@ -581,6 +643,15 @@ def test_fractional_entries_modular_reduction():
     p = 2147483029
     assert rank_mod_p(sm, p) == 1
     assert rank_exact(sm) == 1
+    # numerators past int64: the second row is 2/3 times the first
+    big = StrandMatrix(2, 2, [(0, 0, 2**70), (0, 1, 1),
+                              (1, 0, Fraction(2**71, 3)), (1, 1, Fraction(2, 3))])
+    assert ranks_mod_primes(big, (p, 2147482801)) == [1, 1]
+    assert rank_exact(big) == 1
+    # entries repeating a position add up, here to zero
+    repeated = StrandMatrix(2, 2, [(0, 0, 1), (1, 1, 5), (0, 0, -1)])
+    assert ranks_mod_primes(repeated, (p, 2147482801)) == [1, 1]
+    assert rank_exact(repeated) == 1
 
 
 def test_bad_prime_denominator_rejected():
@@ -588,6 +659,18 @@ def test_bad_prime_denominator_rejected():
     res = certified_rank(sm, RankConfig(seed=0))
     assert res.rank == 1
     assert all(p != 7 for p in res.primes)
+
+
+def test_bad_prime_skipped_before_ranking():
+    # the first prime of the seed-0 stream divides the only denominator:
+    # it is skipped, and the next three draws are ranked
+    p0, *rest = draw_distinct_primes(random.Random("0|"), 4)
+    sm = StrandMatrix(1, 1, [(0, 0, Fraction(1, p0))])
+    res = certified_rank(sm, RankConfig(seed=0))
+    assert res.primes == rest
+    assert res.ranks == [1, 1, 1]
+    with pytest.raises(BadPrime):
+        rank_mod_p(sm, p0)
 
 
 def test_strand_rejects_inexact_coefficients():
