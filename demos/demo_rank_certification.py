@@ -57,13 +57,13 @@ print(f"exact rank of strand k=4: {rank_exact(m)}")
 print()
 
 # Hand-built rational matrix: rank 2, one duplicated row, one dependent
-# column, fractions everywhere.
-entries = [
-    (0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 3)), (0, 2, Fraction(5, 6)),
-    (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 3)), (1, 2, Fraction(5, 6)),
-    (2, 0, Fraction(2)), (2, 1, Fraction(-1)), (2, 2, Fraction(1)),
-]
-m = StrandMatrix(num_rows=3, num_cols=3, entries=entries)
+# column, fractions everywhere.  Entry i is values[i] at (rows[i], cols[i]).
+rows = [0, 0, 0, 1, 1, 1, 2, 2, 2]
+cols = [0, 1, 2, 0, 1, 2, 0, 1, 2]
+values = [Fraction(1, 2), Fraction(1, 3), Fraction(5, 6),
+          Fraction(1, 2), Fraction(1, 3), Fraction(5, 6),
+          Fraction(2), Fraction(-1), Fraction(1)]
+m = StrandMatrix(3, 3, rows, cols, values)
 res = certified_rank(m, RankConfig(seed=0))
 print(f"toy matrix: rank {res.rank} (expected 2),"
       f" exact cross-check ran: {res.exact_verified}")

@@ -10,23 +10,27 @@ to exact fraction-free elimination on disagreement).  RankConfig holds the
 only settable values, the prime count and the seed; every cutoff is a
 module constant below.
 
-Every rank is the sum of the ranks of the matrix's blocks: the connected
-components of the bipartite row-column graph of its nonzero entries, found
-once per matrix.  Jacobian strands of symmetric forms such as CC(n,d) fall
+A StrandMatrix holds its entries as three parallel arrays: int64 rows and
+columns, and values in int64 (or objects, for Fractions and ints past
+int64), which every engine reads directly.  Every rank is the sum of the
+ranks of the matrix's blocks: the connected components of the bipartite
+row-column graph of its entries, found once per matrix by an array
+union-find.  Jacobian strands of symmetric forms such as CC(n,d) fall
 apart into many such blocks.  A strand also records in `symmetries` the
 transpositions of the variables proved to permute its generators exactly;
-those map blocks onto blocks with the same entries, so one block per orbit
-is ranked and counted with the orbit's size.  Each ranked block gets its
-own engine:
+those map blocks onto blocks with the same entries, the same union-find
+joins such blocks into orbits, and one block per orbit is ranked and
+counted with the orbit's size.  Each ranked block gets its own engine:
   * dense mod-p elimination a panel of columns at a time: int64 row
     operations on the panel, then the Schur complement of the remaining
     columns in float64 BLAS matmuls of the left factor's two halves (exact
-    for p < 2^31).  A block is ranked mod a whole batch of primes
-    at once: its residues form one (rows, primes, cols) stack, and every
-    prime is eliminated with the same pivot rows, so the per-column Python
-    work is paid once per block rather than once per prime;
+    for p < 2^31).  A block is ranked mod a batch of primes at once: its
+    residues form one (rows, primes, cols) stack, and every prime is
+    eliminated with the same pivot rows.  It ranks every block of CC(4,4);
   * sparse Markowitz elimination that escapes to the dense kernel when the
-    active submatrix fills in;
+    active submatrix fills in, for the large sparse blocks: of the inputs
+    surveyed, CC(3,5) at k=13 (560x880), CC(3,8) at k=25, and CC(4,5) at
+    k >= 11 and CC(4,6) at k >= 17, where it beats the dense kernel;
   * Wiedemann/Berlekamp-Massey blackbox for very large sparse inputs
     (Monte Carlo; still a lower bound, used beyond the nnz cutoff, and
     never reported as certified);
@@ -45,7 +49,7 @@ from math import lcm
 import numpy as np
 
 from .domains import draw_distinct_primes
-from .monomials import grlex_ranks, monomial_index, monomials_of_degree, num_monomials
+from .monomials import grlex_ranks, monomials_of_degree, num_monomials
 
 # Engine thresholds, applied by _engine to each block: above BLACKBOX_NNZ
 # nonzeros the Wiedemann blackbox runs; otherwise narrow or dense blocks go
@@ -80,9 +84,15 @@ class BadPrime(Exception):
 # -- strand matrices -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class StrandMatrix:
     """Sparse exact matrix with its graded provenance (k, d, n) attached.
+
+    Entry i is values[i] at (rows[i], cols[i]); repeated positions add up.
+    Indices are kept as int64 arrays, and values as int64 or, when one is
+    a Fraction or an int past int64, as an object array.  Bad input raises
+    ValueError (an index out of range, arrays of unequal length) or
+    TypeError (a value that is not an int or Fraction).
 
     `symmetries` lists the pairs (i, j) of variables for which swapping x_i
     and x_j permutes the rows (the degree-k monomials) and the columns and
@@ -93,15 +103,28 @@ class StrandMatrix:
 
     num_rows: int
     num_cols: int
-    entries: list  # (row, col, value) with value int or Fraction
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     k: int | None = None
     d: int | None = None
     n: int | None = None
     symmetries: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self):
+        self.values = _exact_array(self.values)
+        for name, bound in (("rows", self.num_rows), ("cols", self.num_cols)):
+            index = np.asarray(getattr(self, name))
+            if self.values.ndim != 1 or index.shape != self.values.shape or (
+                    index.size and index.dtype.kind not in "iu"):
+                raise ValueError(f"{name} must hold one integer index per value")
+            if index.size and (index.min() < 0 or index.max() >= bound):
+                raise ValueError(f"{name} holds an index outside 0..{bound - 1}")
+            setattr(self, name, index.astype(np.int64, copy=False))
+
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
     @property
     def blocks(self) -> list[StrandMatrix]:
@@ -126,54 +149,55 @@ class StrandMatrix:
 
     @cached_property
     def _components(self):
-        m = self.num_rows
-        parent = list(range(m + self.num_cols))
-        for r, c, _ in self.entries:
-            a, b = _root(parent, r), _root(parent, m + c)
-            if a != b:
-                parent[a] = b
-        members: dict[int, list] = {}
-        for entry in self.entries:
-            members.setdefault(_root(parent, entry[0]), []).append(entry)
-        blocks = []
-        for entries in members.values():
-            row_ix = {r: i for i, r in enumerate(sorted({e[0] for e in entries}))}
-            col_ix = {c: i for i, c in enumerate(sorted({e[1] for e in entries}))}
-            if len(members) == 1 and len(row_ix) == m and len(col_ix) == self.num_cols:
-                return [self], [(self, 1)]
-            blocks.append(StrandMatrix(
-                len(row_ix), len(col_ix),
-                [(row_ix[r], col_ix[c], v) for r, c, v in entries],
-                k=self.k, d=self.d, n=self.n))
-        return blocks, self._orbits(blocks, parent, members)
+        m, size, nnz = self.num_rows, self.num_rows + self.num_cols, self.nnz
+        root = _union_find(size, self.rows, m + self.cols)
+        if nnz and (root == root[0]).all():
+            return [self], [(self, 1)]
+        # local[v]: the place of row or column v among the rows or columns of
+        # its block, read off the nodes sorted by (root, node)
+        key = np.sort(root * size + np.arange(size))
+        nodes, rows = np.bincount(root, minlength=size), np.bincount(root[:m], minlength=size)
+        local = np.empty(size, dtype=np.int64)
+        local[key % size] = np.arange(size) - (np.cumsum(nodes) - nodes)[key // size]
+        local[m:] -= rows[root[m:]]
+        # the entries of each block in order, blocks in the order of their first entries
+        key = np.sort(root[self.rows] * nnz + np.arange(nnz))
+        parts = np.split(key % nnz, np.flatnonzero(np.diff(key // nnz)) + 1) if nnz else []
+        parts.sort(key=lambda idx: idx[0])
+        first = self.rows[np.array([idx[0] for idx in parts], dtype=np.int64)]
+        block_roots = root[first]
+        blocks = [StrandMatrix(r, c, local[self.rows[idx]], local[m + self.cols[idx]],
+                               self.values[idx], k=self.k, d=self.d, n=self.n)
+                  for idx, r, c in zip(parts, rows[block_roots].tolist(),
+                                       (nodes - rows)[block_roots].tolist())]
+        block_of = np.full(size, -1)
+        block_of[block_roots] = np.arange(len(parts))
+        return blocks, self._orbits(blocks, block_of[root[:m]], first)
 
-    def _orbits(self, blocks, parent, members):
+    def _orbits(self, blocks, block_of, first_rows):
         """Group the blocks under the symmetries.
 
-        members maps the union-find root of each block to its original
-        entries.  A symmetry maps the block holding row r onto the block
-        holding the row of the swapped monomial, so one row per block and
-        symmetry suffices to join the orbits.  A joined block must match
-        its representative in shape, nnz and sorted entry values, or the
-        claimed symmetry is false and ValueError is raised.
+        block_of maps each row to its block, -1 for an empty row.  A
+        symmetry maps the block holding row r onto the block holding the
+        swapped monomial, so the first row of each block joins the orbits.
+        A joined block must match its representative in shape, nnz and
+        sorted entry values, or the claimed symmetry is false: ValueError.
         """
-        orbit = list(range(len(blocks)))
-        if self.symmetries:
+        orbit = np.arange(len(blocks))
+        if self.symmetries and blocks:
             monomials = monomials_of_degree(self.n + 1, self.k)
-            row_of = monomial_index(self.n + 1, self.k)
-            block_of = {root: b for b, root in enumerate(members)}
-            first_rows = [entries[0][0] for entries in members.values()]
-            for i, j in self.symmetries:
-                for b, r in enumerate(first_rows):
-                    image = row_of[_swapped(monomials[r], i, j)]
-                    target = block_of.get(_root(parent, image))
-                    if target is None:
-                        raise ValueError(f"transposition {(i, j)} maps a block "
-                                         "onto empty rows")
-                    orbit[_root(orbit, b)] = _root(orbit, target)
+            exps = np.array([monomials[r] for r in first_rows.tolist()], dtype=np.int64)
+            swaps = [_swapped(range(self.n + 1), i, j) for i, j in self.symmetries]
+            # targets[b, s]: the block that symmetry s maps block b onto
+            targets = block_of[grlex_ranks(exps[:, swaps])]
+            if (targets < 0).any():
+                i, j = self.symmetries[(targets < 0).any(axis=0).argmax()]
+                raise ValueError(f"transposition {(i, j)} maps a block onto empty rows")
+            orbit = _union_find(len(blocks), np.repeat(orbit, len(swaps)),
+                                targets.ravel())
         reps: dict[int, list] = {}
-        for b, block in enumerate(blocks):
-            rep = reps.setdefault(_root(orbit, b), [block, 0])
+        for block, root in zip(blocks, orbit.tolist()):
+            rep = reps.setdefault(root, [block, 0])
             if rep[1]:
                 _check_same_entries(block, rep[0])
             rep[1] += 1
@@ -186,57 +210,44 @@ class StrandMatrix:
         A prime dividing it kills a denominator, so it is a BadPrime for
         this matrix and for each of its blocks.
         """
-        kinds = {type(v) for _, _, v in self.entries}
-        if not kinds <= {int, bool, Fraction}:
-            bad = next(iter(kinds - {int, bool, Fraction}))
-            raise TypeError(f"unsupported entry type {bad.__name__}")
-        if Fraction not in kinds:
+        if self.values.dtype != object:
             return 1
-        return lcm(*{v.denominator for _, _, v in self.entries})
-
-    def _entries_modp(self, primes):
-        """Row and column index arrays of the entries, and their (nnz,
-        primes) residues, from one pass over the entries.
-
-        Raises BadPrime if a prime divides a denominator.
-        """
-        rows = np.fromiter((e[0] for e in self.entries), np.int64, self.nnz)
-        cols = np.fromiter((e[1] for e in self.entries), np.int64, self.nnz)
-        mod = np.array(primes, dtype=np.int64)
-        vals = _mod(_int_array([v.numerator for _, _, v in self.entries]), mod)
-        if self.denominator != 1:
-            dens = _mod(_int_array([v.denominator for _, _, v in self.entries]), mod)
-            for j, p in enumerate(primes):
-                if not dens[:, j].all():
-                    raise BadPrime(f"{p} divides a denominator")
-                values, back = np.unique(dens[:, j], return_inverse=True)
-                inv = np.array([pow(v, -1, p) for v in values.tolist()],
-                               dtype=np.int64)
-                vals[:, j] = vals[:, j] * inv[back] % p
-        return rows, cols, vals
+        return lcm(*{v.denominator for v in self.values.tolist()})
 
     def residues(self, primes) -> np.ndarray:
         """The (rows, primes, cols) int64 stack of the matrix mod each prime."""
-        rows, cols, vals = self._entries_modp(primes)
+        vals = _residues(self.values, primes)
         out = np.zeros((self.num_rows, len(primes), self.num_cols), dtype=np.int64)
-        flat = np.sort(rows * self.num_cols + cols)
+        flat = np.sort(self.rows * self.num_cols + self.cols)
         if (flat[1:] != flat[:-1]).all():
-            out[rows, :, cols] = vals
+            out[self.rows, :, self.cols] = vals
         else:  # repeated positions add up
-            np.add.at(out, (rows, slice(None), cols), vals)
+            np.add.at(out, (self.rows, slice(None), self.cols), vals)
             out %= np.array(primes, dtype=np.int64)[:, None]
         return out
 
-    def triples_modp(self, p: int):
-        rows, cols, vals = self._entries_modp((p,))
-        return rows, cols, vals[:, 0]
 
+def _union_find(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The root of each of 0..size-1 once a[i] and b[i] are joined for all i.
 
-def _root(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
+    Each round hooks every tree root to the smallest root it shares an edge
+    with, if smaller, then shortcuts every path fully.  A component's root
+    is its smallest member, and a scrambled path of 500,000 nodes joins in
+    13 rounds, where passing labels along it would take one per node.
+    """
+    parent = np.arange(size)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            return parent
+        # one key per edge across two trees, larger root * size + smaller
+        # root; sorted, each root's first key holds its smallest neighbour
+        key = np.sort(np.maximum(ra, rb)[cross] * size + np.minimum(ra, rb)[cross])
+        head = np.r_[True, key[1:] // size != key[:-1] // size]
+        parent[key[head] // size] = key[head] % size
+        while (parent[parent] != parent).any():
+            parent = parent[parent]
 
 
 def _swapped(mono, i: int, j: int) -> tuple:
@@ -246,45 +257,56 @@ def _swapped(mono, i: int, j: int) -> tuple:
     return tuple(out)
 
 
-def _shape(block: StrandMatrix) -> tuple[int, int, int]:
-    return block.num_rows, block.num_cols, block.nnz
-
-
 def _check_same_entries(block: StrandMatrix, rep: StrandMatrix) -> None:
     """Raise unless block could be rep with rows and columns permuted.
 
     A symmetry permutes rows and columns and keeps every entry, so the
     shape, nnz and sorted entry values of joined blocks agree.
     """
-    if _shape(block) != _shape(rep):
-        raise ValueError(f"a block of shape {_shape(block)} joins the "
-                         f"orbit of one of shape {_shape(rep)}")
-    if sorted(v for _, _, v in block.entries) != \
-            sorted(v for _, _, v in rep.entries):
+    shape, rep_shape = ((b.num_rows, b.num_cols, b.nnz) for b in (block, rep))
+    if shape != rep_shape:
+        raise ValueError(f"a block of shape {shape} joins the "
+                         f"orbit of one of shape {rep_shape}")
+    if not np.array_equal(np.sort(block.values), np.sort(rep.values)):
         raise ValueError("a block joins the orbit of one with other entry "
                          "values")
 
 
-def _int_array(values: list[int]) -> np.ndarray:
-    """values as int64, or as an object array when one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+def _exact_array(values) -> np.ndarray:
+    """values as int64, or as an object array when one is a Fraction or
+    does not fit; TypeError for a value that is not an int or Fraction."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "ib":
+        return values.astype(np.int64, copy=False)
+    items = np.asarray(values, dtype=object).tolist()
+    kinds = set(map(type, items))
+    if not kinds <= {int, bool, Fraction}:
+        raise TypeError(f"strand coefficients must be int or Fraction, "
+                        f"not {(kinds - {int, bool, Fraction}).pop().__name__}")
+    if Fraction not in kinds:
+        try:
+            return np.array(items, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.array(items, dtype=object)
 
 
-def _mod(values: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """The (len(values), len(mod)) int64 table of values[i] mod mod[j]."""
-    if values.dtype == object:
-        return (values[:, None] % mod.astype(object)).astype(np.int64)
-    return values[:, None] % mod
+def _residues(values: np.ndarray, primes) -> np.ndarray:
+    """The (len(values), len(primes)) int64 table of values mod each prime.
 
-
-def _exact(value):
-    if isinstance(value, (int, Fraction)):
-        return value
-    raise TypeError(f"strand coefficients must be int or Fraction, "
-                    f"not {type(value).__name__}")
+    Raises BadPrime if a prime divides a denominator.
+    """
+    mod = np.array(primes, dtype=np.int64)
+    if values.dtype != object:
+        return values[:, None] % mod
+    pairs = np.array([v.as_integer_ratio() for v in values.tolist()], dtype=object)
+    out, dens = (pairs.T[:, :, None] % mod.astype(object)).astype(np.int64)
+    for j, p in enumerate(primes):
+        if not dens[:, j].all():
+            raise BadPrime(f"{p} divides a denominator")
+        distinct, back = np.unique(dens[:, j], return_inverse=True)
+        inv = np.array([pow(v, -1, p) for v in distinct.tolist()], dtype=np.int64)
+        out[:, j] = out[:, j] * inv[back] % p
+    return out
 
 
 def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
@@ -310,7 +332,7 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
     multipliers = monomials_of_degree(num_vars, mult_degree) if mult_degree >= 0 else ()
     num_rows = num_monomials(num_vars, k)
     num_cols = len(partials) * len(multipliers)
-    entries = []
+    parts = []
     if num_cols:
         mults = np.array(multipliers, dtype=np.int64)
         for i, gen in enumerate(partials):
@@ -318,14 +340,14 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
             if not terms:
                 continue
             monos = np.array([m for m, _ in terms], dtype=np.int64)
-            coeffs = [_exact(c) for _, c in terms]
             # entry (j, t): multiplier j times term t, in row-major order
-            rows = grlex_ranks(mults[:, None, :] + monos[None, :, :])
-            cols = np.repeat(np.arange(i * len(multipliers),
-                                       (i + 1) * len(multipliers)), len(terms))
-            entries.extend(zip(rows.ravel().tolist(), cols.tolist(),
-                               coeffs * len(multipliers)))
-    return StrandMatrix(num_rows, num_cols, entries, k=k, d=d, n=n,
+            parts.append((
+                grlex_ranks(mults[:, None, :] + monos[None, :, :]).ravel(),
+                np.repeat(np.arange(i * len(multipliers), (i + 1) * len(multipliers)),
+                          len(terms)),
+                np.tile(_exact_array([c for _, c in terms]), len(multipliers))))
+    rows, cols, values = (np.concatenate(a) for a in zip(*parts)) if parts else ((),) * 3
+    return StrandMatrix(num_rows, num_cols, rows, cols, values, k=k, d=d, n=n,
                         symmetries=_variable_transpositions(partials))
 
 
@@ -480,10 +502,7 @@ def rank_sparse_modp(num_rows: int, num_cols: int, rows_idx, cols_idx, vals,
     fills in or shrinks it is handed to the dense kernel.
     """
     rows: list[dict[int, int] | None] = [dict() for _ in range(num_rows)]
-    for r, c, v in zip(rows_idx, cols_idx, vals):
-        r = int(r)
-        c = int(c)
-        v = int(v)
+    for r, c, v in zip(*(np.asarray(x).tolist() for x in (rows_idx, cols_idx, vals))):
         row = rows[r]
         acc = (row.get(c, 0) + v) % p
         if acc:
@@ -664,24 +683,16 @@ def _rank_bareiss(matrix: StrandMatrix) -> int:
     """Rank over the rationals by integer fraction-free (Bareiss) elimination."""
     m, n = matrix.num_rows, matrix.num_cols
     dense: list[list] = [[0] * n for _ in range(m)]
-    for r, c, v in matrix.entries:
+    for r, c, v in zip(matrix.rows.tolist(), matrix.cols.tolist(),
+                       matrix.values.tolist()):
         dense[r][c] += v
-    for r in range(m):
-        row = dense[r]
-        dens = [v.denominator for v in row if isinstance(v, Fraction)]
-        if dens:
-            scale = lcm(*dens)
-            dense[r] = [int(v * scale) for v in row]
-        else:
-            dense[r] = [int(v) for v in row]
+    for r, row in enumerate(dense):
+        scale = lcm(*(v.denominator for v in row))
+        dense[r] = [int(v * scale) for v in row]
     rank = 0
     prev = 1
     for c in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if dense[r][c]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, m) if dense[r][c]), None)
         if pivot is None:
             continue
         if pivot != rank:
@@ -691,19 +702,12 @@ def _rank_bareiss(matrix: StrandMatrix) -> int:
         for r in range(rank + 1, m):
             row = dense[r]
             rval = row[c]
-            if rval:
-                for j in range(c + 1, n):
-                    q, rem = divmod(row[j] * pval - rval * prow[j], prev)
-                    if rem:
-                        raise ArithmeticError("fraction-free division failed")
-                    row[j] = q
-                row[c] = 0
-            else:
-                for j in range(c + 1, n):
-                    q, rem = divmod(row[j] * pval, prev)
-                    if rem:
-                        raise ArithmeticError("fraction-free division failed")
-                    row[j] = q
+            for j in range(c + 1, n):
+                q, rem = divmod(row[j] * pval - rval * prow[j], prev)
+                if rem:
+                    raise ArithmeticError("fraction-free division failed")
+                row[j] = q
+            row[c] = 0
         prev = pval
         rank += 1
         if rank == m:
@@ -795,9 +799,6 @@ def ranks_mod_primes(matrix: StrandMatrix, primes) -> list[int]:
     denominator.
     """
     primes = tuple(primes)
-    for p in primes:
-        if matrix.denominator % p == 0:
-            raise BadPrime(f"{p} divides a denominator")
     totals = [0] * len(primes)
     for block, count in matrix.orbits:
         for j, rank in enumerate(_block_ranks(block, primes)):
@@ -814,23 +815,21 @@ def _block_ranks(block: StrandMatrix, primes: tuple[int, ...]) -> list[int]:
     """A block's rank mod each prime.  Dense blocks take the primes in
     stacks within STACK_CELLS; the other engines take one at a time."""
     engine = _engine(block)
+    ranks = []
     if engine == "dense":
         per = max(1, STACK_CELLS // (block.num_rows * block.num_cols))
-        ranks = []
         for i in range(0, len(primes), per):
             batch = primes[i : i + per]
             ranks += rank_dense_modp(block.residues(batch), batch)
         return ranks
-    ranks = []
-    for p in primes:
-        rows_idx, cols_idx, vals = block.triples_modp(p)
+    for p, vals in zip(primes, _residues(block.values, primes).T):
         if engine == "blackbox":
             rng = random.Random(f"blackbox|{p}|{block.num_rows}x{block.num_cols}")
             ranks.append(rank_blackbox_modp(
-                block.num_rows, block.num_cols, rows_idx, cols_idx, vals, p, rng))
+                block.num_rows, block.num_cols, block.rows, block.cols, vals, p, rng))
         else:
             ranks.append(rank_sparse_modp(
-                block.num_rows, block.num_cols, rows_idx, cols_idx, vals, p))
+                block.num_rows, block.num_cols, block.rows, block.cols, vals, p))
     return ranks
 
 
@@ -844,14 +843,14 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
     ESCALATION_PRIMES, ranking the new primes together, then falls back to
     exact fraction-free elimination up to EXACT_FALLBACK_COLS columns.  The
     exact path also runs unconditionally up to EXACT_VERIFY_COLS columns,
-    and its value is authoritative.  When
-    any block goes to Wiedemann the rank is a Monte Carlo lower bound that
-    is never checked exactly, so it is labelled blackbox-iterative and
-    reported uncertified even when every prime agrees.
+    and its value is authoritative.  When any block goes to Wiedemann the
+    rank is a Monte Carlo lower bound that is never checked exactly, so it
+    is labelled blackbox-iterative and reported uncertified even when every
+    prime agrees.
     """
     if config is None:
         config = RankConfig()
-    if matrix.num_rows == 0 or matrix.num_cols == 0 or not matrix.entries:
+    if not matrix.nnz:
         return RankResult(rank=0, method="sparse-elimination")
     rng = random.Random(f"{config.seed}|{salt}")
     blackbox = any(_engine(block) == "blackbox" for block, _ in matrix.orbits)

@@ -212,7 +212,8 @@ def _random_rational_matrix(rng):
                 if num:
                     den = rng.choice((1, 1, 2, 3, 5))
                     entries.append((i, j, Fraction(num, den)))
-    return StrandMatrix(num_rows=rows, num_cols=cols, entries=entries)
+    return StrandMatrix(rows, cols, [e[0] for e in entries],
+                        [e[1] for e in entries], [e[2] for e in entries])
 
 
 def test_criterion_10_infrastructure_properties(monkeypatch):

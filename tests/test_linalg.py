@@ -1,6 +1,8 @@
 """Rank engines cross-checked against a naive reference and each other."""
 
+import json
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from milnor.linalg import (
 )
 from milnor.monomials import grlex_ranks, monomial_index, monomials_of_degree
 from milnor.poly import SparsePolynomial, parse_polynomial, partial_derivatives
+from milnor.report import RunConfig, analyze
 
 
 def naive_rank_modp(a, p):
@@ -62,9 +65,19 @@ def random_matrix(rng, m, n, p, density=0.5, rank_cap=None):
              for _ in range(n)] for _ in range(m)]
 
 
+def split_triples(entries):
+    """The row, column and value lists of (row, col, value) triples."""
+    return [e[0] for e in entries], [e[1] for e in entries], [e[2] for e in entries]
+
+
+def entry_triples(sm):
+    """The entries of sm as (row, col, value) triples, in order."""
+    return list(zip(sm.rows.tolist(), sm.cols.tolist(), sm.values.tolist()))
+
+
 def to_triplets(a):
     entries = [(i, j, v) for i, row in enumerate(a) for j, v in enumerate(row) if v]
-    return StrandMatrix(len(a), len(a[0]) if a else 0, entries)
+    return StrandMatrix(len(a), len(a[0]) if a else 0, *split_triples(entries))
 
 
 def test_matmul_modp_exact():
@@ -224,9 +237,7 @@ def test_sparse_rank_matches_naive(monkeypatch):
         a = random_matrix(rng, m, n, p, density=rng.uniform(0.05, 0.6))
         want = naive_rank_modp(a, p)
         sm = to_triplets(a)
-        rows_idx = [e[0] for e in sm.entries]
-        cols_idx = [e[1] for e in sm.entries]
-        vals = [e[2] for e in sm.entries]
+        rows_idx, cols_idx, vals = sm.rows, sm.cols, sm.values
         got = rank_sparse_modp(m, n, rows_idx, cols_idx, vals, p)
         assert got == want
         # force the dense escape path early, then never escape, so that
@@ -249,11 +260,9 @@ def test_blackbox_rank_lower_bound_and_typical_exactness():
         a = random_matrix(rng, m, n, p, rank_cap=cap)
         want = naive_rank_modp(a, p)
         sm = to_triplets(a)
-        if not sm.entries:
+        if not sm.nnz:
             continue
-        got = rank_blackbox_modp(m, n, [e[0] for e in sm.entries],
-                                 [e[1] for e in sm.entries],
-                                 [e[2] for e in sm.entries], p,
+        got = rank_blackbox_modp(m, n, sm.rows, sm.cols, sm.values, p,
                                  random.Random(rng.randrange(1 << 30)))
         assert got <= want
         hits += got == want
@@ -284,10 +293,10 @@ def test_exact_rank_matches_modular_and_field():
                                                        rng.randrange(1, 7))))
                     else:
                         entries.append((i, j, rng.randrange(-50, 51)))
-        sm = StrandMatrix(m, n, [e for e in entries if e[2]])
+        sm = StrandMatrix(m, n, *split_triples([e for e in entries if e[2]]))
         want = rank_exact(sm)
         rows = [[Fraction(0)] * n for _ in range(m)]
-        for i, j, v in sm.entries:
+        for i, j, v in entry_triples(sm):
             rows[i][j] += Fraction(v)
         assert rank_gaussian_field(rows, zero=Fraction(0)) == want
         # a 31-bit prime cannot divide every nonzero minor of a matrix this small
@@ -365,7 +374,7 @@ def _block_diagonal(rng, sizes, density):
         r0 += rows
         c0 += cols
     sm = to_triplets(dense)
-    return sm, {v: (r, c) for r, c, v in sm.entries}, dense
+    return sm, {v: (r, c) for r, c, v in entry_triples(sm)}, dense
 
 
 def _connected(block):
@@ -374,7 +383,7 @@ def _connected(block):
     frontier = [("r", 0)]
     while frontier:
         kind, i = frontier.pop()
-        for r, c, _ in block.entries:
+        for r, c, _ in entry_triples(block):
             if kind == "r" and r == i and c not in seen_cols:
                 seen_cols.add(c)
                 frontier.append(("c", c))
@@ -393,10 +402,10 @@ def test_blocks_partition_and_ranks():
         sm, origin, dense = _block_diagonal(rng, sizes, rng.uniform(0.2, 0.9))
         blocks = sm.blocks
         # every entry in exactly one block; no row or column in two blocks
-        found = [origin[v] for b in blocks for _, _, v in b.entries]
+        found = [origin[v] for b in blocks for _, _, v in entry_triples(b)]
         assert sorted(found) == sorted(origin.values())
-        rows = [{origin[v][0] for _, _, v in b.entries} for b in blocks]
-        cols = [{origin[v][1] for _, _, v in b.entries} for b in blocks]
+        rows = [{origin[v][0] for _, _, v in entry_triples(b)} for b in blocks]
+        cols = [{origin[v][1] for _, _, v in entry_triples(b)} for b in blocks]
         assert sum(map(len, rows)) == len(set().union(*rows))
         assert sum(map(len, cols)) == len(set().union(*cols))
         for b, rs, cs in zip(blocks, rows, cols):
@@ -409,6 +418,91 @@ def test_blocks_partition_and_ranks():
         assert rank_mod_p(sm, p) == naive_rank_modp(dense, p)
         field_rows = [[Fraction(v) for v in row] for row in dense]
         assert rank_exact(sm) == rank_gaussian_field(field_rows, zero=Fraction(0))
+    # random sparse matrices, empty rows and columns included, split as a
+    # breadth-first search over the row-column graph splits them
+    for trial in range(40):
+        m, n = rng.randrange(1, 30), rng.randrange(1, 30)
+        density = rng.choice((0.02, 0.06, 0.15))
+        cells = [(i, j) for i in range(m) for j in range(n) if rng.random() < density]
+        values = rng.sample(range(1, 10**6), len(cells))
+        sm = StrandMatrix(m, n, *split_triples([(i, j, v) for (i, j), v
+                                                in zip(cells, values)]))
+        origin = dict(zip(values, cells))
+        got = []
+        for b in sm.blocks:
+            rows = frozenset(origin[v][0] for v in b.values.tolist())
+            cols = frozenset(origin[v][1] for v in b.values.tolist())
+            assert (b.num_rows, b.num_cols) == (len(rows), len(cols))
+            got.append((rows, cols))
+        assert len(set(got)) == len(got) and set(got) == _bfs_components(cells)
+        dense = [[0] * n for _ in range(m)]
+        for (i, j), v in zip(cells, values):
+            dense[i][j] = v
+        assert rank_mod_p(sm, 2147482801) == naive_rank_modp(dense, 2147482801)
+    # a scrambled bipartite path r0 c0 r1 c1 ... plus an empty row and an
+    # empty column is one block, found in a few rounds of root hooking
+    size = 100_000
+    row_of, col_of = rng.sample(range(size + 1), size), rng.sample(range(size + 1), size)
+    rows = row_of + row_of[1:]
+    cols = col_of + col_of[:-1]
+    sm = StrandMatrix(size + 1, size + 1, rows, cols, [1] * len(rows))
+    start = time.perf_counter()
+    blocks = sm.blocks
+    assert time.perf_counter() - start < 2.0
+    assert len(blocks) == 1
+    assert (blocks[0].num_rows, blocks[0].num_cols, blocks[0].nnz) == (size, size, 2 * size - 1)
+
+
+def _bfs_components(cells):
+    """The (rows, cols) of each component of the graph with edges cells."""
+    adjacent = {}
+    for i, j in cells:
+        adjacent.setdefault(("r", i), []).append(("c", j))
+        adjacent.setdefault(("c", j), []).append(("r", i))
+    seen, out = set(), set()
+    for node in adjacent:
+        if node in seen:
+            continue
+        seen.add(node)
+        component, frontier = [node], [node]
+        while frontier:
+            for nxt in adjacent[frontier.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    component.append(nxt)
+                    frontier.append(nxt)
+        out.add((frozenset(i for kind, i in component if kind == "r"),
+                 frozenset(j for kind, j in component if kind == "c")))
+    return out
+
+
+def test_strand_matrix_rejects_bad_input():
+    for rows, cols in (([0], [2]), ([2], [0]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(ValueError, match="index outside"):
+            StrandMatrix(2, 2, rows, cols, [1])
+    for rows, cols in (([0, 1], [0]), ([0], [0]), ([0.0, 1.0], [0, 1])):
+        with pytest.raises(ValueError, match="one integer index per value"):
+            StrandMatrix(2, 2, rows, cols, [1, 1])
+    for values in ([1.5], np.array([1.5]), ["1"], [1, None]):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            StrandMatrix(2, 2, [0, 1][: len(values)], [0, 1][: len(values)], values)
+    # ints past int64 and Fractions are kept exactly, in an object array
+    sm = StrandMatrix(2, 2, [0, 1], [1, 0], [2**70, Fraction(1, 3)])
+    assert sm.values.dtype == object and sm.values.tolist() == [2**70, Fraction(1, 3)]
+    assert StrandMatrix(2, 2, np.array([1]), [1], np.array([-4])).values.dtype == np.int64
+
+
+def test_rational_kummer_gives_kummer_report(kummer):
+    # Kummer divided by 3: the same strands up to scale, so the same report
+    # at seed 0 through the rational path, apart from the input itself
+    f = parse_polynomial("1/3*" + KUMMER_TEXT.replace(" x", " 1/3*x"), num_vars=4)
+    whole = parse_polynomial(KUMMER_TEXT, num_vars=4)
+    assert f.terms == {m: Fraction(c, 3) for m, c in whole.terms.items()}
+    third = analyze(f, source="kummer/3", config=RunConfig(seed=0))
+    want, got = json.loads(kummer.to_json()), json.loads(third.to_json())
+    for key in ("polynomial", "source"):
+        assert got.pop(key) != want.pop(key)
+    assert got == want
 
 
 def test_blocks_of_symmetric_strands():
@@ -417,9 +511,9 @@ def test_blocks_of_symmetric_strands():
     cc44 = build(canonical_spec(4, 4))
     assert len(jacobian_strand_matrix(partial_derivatives(cc44, 4), 11).blocks) == 16
     # a single block with no empty row or column is the matrix itself
-    sm = StrandMatrix(2, 2, [(0, 0, 1), (0, 1, 2), (1, 1, 3)])
+    sm = StrandMatrix(2, 2, [0, 0, 1], [0, 1, 1], [1, 2, 3])
     assert sm.blocks == [sm] and sm.blocks[0] is sm
-    assert StrandMatrix(3, 0, []).blocks == []
+    assert StrandMatrix(3, 0, [], [], []).blocks == []
 
 
 def _partials(text):
@@ -459,7 +553,7 @@ def test_equal_generators_keep_no_symmetry():
         assert sm.symmetries == ()
         assert all(count == 1 for _, count in sm.orbits)
         dense = [[0] * sm.num_cols for _ in range(sm.num_rows)]
-        for r, c, v in sm.entries:
+        for r, c, v in entry_triples(sm):
             dense[r][c] += v
         assert rank_mod_p(sm, p) == naive_rank_modp(dense, p)
 
@@ -546,7 +640,7 @@ def test_rank_config_needs_a_prime():
             RankConfig(primes=primes)
     # one prime is a valid configuration, and agreeing with itself it
     # never escalates
-    res = certified_rank(StrandMatrix(1, 1, [(0, 0, 3)]), RankConfig(primes=1))
+    res = certified_rank(StrandMatrix(1, 1, [0], [0], [3]), RankConfig(primes=1))
     assert res.rank == 1 and len(res.primes) == 1
 
 
@@ -554,7 +648,7 @@ def test_disagreement_escalates_then_falls_back_to_exact():
     # the first prime of the seed-0 "esc" stream kills the only entry, so
     # it alone ranks 0 and the primes disagree
     (p0,) = draw_distinct_primes(random.Random("0|esc"), 1)
-    res = certified_rank(StrandMatrix(1, 1, [(0, 0, p0)]), RankConfig(seed=0),
+    res = certified_rank(StrandMatrix(1, 1, [0], [0], [p0]), RankConfig(seed=0),
                          salt="esc")
     assert res.primes[0] == p0
     assert res.ranks == [0, 1, 1, 1, 1, 1, 1]
@@ -564,7 +658,7 @@ def test_disagreement_escalates_then_falls_back_to_exact():
     assert res.method == "dense-fraction-free"
     # past EXACT_FALLBACK_COLS columns there is no exact fallback: the
     # maximum is reported, uncertified
-    wide = StrandMatrix(1, linalg.EXACT_FALLBACK_COLS + 1, [(0, 0, p0)])
+    wide = StrandMatrix(1, linalg.EXACT_FALLBACK_COLS + 1, [0], [0], [p0])
     res = certified_rank(wide, RankConfig(seed=0), salt="esc")
     assert res.ranks == [0, 1, 1, 1, 1, 1, 1]
     assert res.rank == 1
@@ -580,7 +674,7 @@ def test_wide_matrix_with_few_nonempty_columns_goes_dense(monkeypatch):
     a = random_matrix(rng, 40, 900, p, density=0.01)
     sm = to_triplets(a)
     assert sm.num_cols > linalg.DENSE_COLS
-    assert len({c for _, c, _ in sm.entries}) <= linalg.DENSE_COLS
+    assert len({c for _, c, _ in entry_triples(sm)}) <= linalg.DENSE_COLS
     assert linalg._engine(sm) == "sparse"  # as a whole it would be Markowitz
 
     def refuse(*args, **kwargs):
@@ -638,24 +732,24 @@ def test_jacobian_strand_shapes_and_ranks():
 
 
 def test_fractional_entries_modular_reduction():
-    sm = StrandMatrix(2, 2, [(0, 0, Fraction(1, 2)), (0, 1, 3),
-                             (1, 0, Fraction(1, 2)), (1, 1, 3)])
+    sm = StrandMatrix(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
+                      [Fraction(1, 2), 3, Fraction(1, 2), 3])
     p = 2147483029
     assert rank_mod_p(sm, p) == 1
     assert rank_exact(sm) == 1
     # numerators past int64: the second row is 2/3 times the first
-    big = StrandMatrix(2, 2, [(0, 0, 2**70), (0, 1, 1),
-                              (1, 0, Fraction(2**71, 3)), (1, 1, Fraction(2, 3))])
+    big = StrandMatrix(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
+                       [2**70, 1, Fraction(2**71, 3), Fraction(2, 3)])
     assert ranks_mod_primes(big, (p, 2147482801)) == [1, 1]
     assert rank_exact(big) == 1
     # entries repeating a position add up, here to zero
-    repeated = StrandMatrix(2, 2, [(0, 0, 1), (1, 1, 5), (0, 0, -1)])
+    repeated = StrandMatrix(2, 2, [0, 1, 0], [0, 1, 0], [1, 5, -1])
     assert ranks_mod_primes(repeated, (p, 2147482801)) == [1, 1]
     assert rank_exact(repeated) == 1
 
 
 def test_bad_prime_denominator_rejected():
-    sm = StrandMatrix(1, 1, [(0, 0, Fraction(1, 7))])
+    sm = StrandMatrix(1, 1, [0], [0], [Fraction(1, 7)])
     res = certified_rank(sm, RankConfig(seed=0))
     assert res.rank == 1
     assert all(p != 7 for p in res.primes)
@@ -665,7 +759,7 @@ def test_bad_prime_skipped_before_ranking():
     # the first prime of the seed-0 stream divides the only denominator:
     # it is skipped, and the next three draws are ranked
     p0, *rest = draw_distinct_primes(random.Random("0|"), 4)
-    sm = StrandMatrix(1, 1, [(0, 0, Fraction(1, p0))])
+    sm = StrandMatrix(1, 1, [0], [0], [Fraction(1, p0)])
     res = certified_rank(sm, RankConfig(seed=0))
     assert res.primes == rest
     assert res.ranks == [1, 1, 1]
