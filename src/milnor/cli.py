@@ -239,7 +239,7 @@ def _parse_cc_arg(text: str) -> ChebyshevSpec:
 
 def _cmd_defects(args) -> int:
     if (args.polynomial is None) == (args.cc is None):
-        raise CommandError("pass a polynomial or --cc n,d, not both")
+        raise CommandError("pass exactly one of a polynomial or --cc N,D[,K]")
     config = _run_config(args)
     cache = _cache(args)
     spec = None

@@ -11,11 +11,14 @@ only settable values, the prime count and the seed; every cutoff is a
 module constant below.
 
 A StrandMatrix holds its entries as three parallel arrays: int64 rows and
-columns, and values in int64 (or objects, for Fractions and ints past
-int64), which every engine reads directly.  Every rank is the sum of the
-ranks of the matrix's blocks: the connected components of the bipartite
-row-column graph of its entries, found once per matrix by an array
-union-find.  Jacobian strands of symmetric forms such as CC(n,d) fall
+columns, and integer values in int64 (or objects, for ints past int64),
+which every engine reads directly.  Fraction values are scaled once, when
+the matrix is made, by the lcm of their denominators: a nonzero scalar
+changes no rank over Q, and the rank of an integer matrix mod any prime is
+a lower bound for it, so every drawn prime can be ranked.  Every rank is
+the sum of the ranks of the matrix's blocks: the connected components of
+the bipartite row-column graph of its entries, found once per matrix by an
+array union-find.  Jacobian strands of symmetric forms such as CC(n,d) fall
 apart into many such blocks.  A strand also records in `symmetries` the
 transpositions of the variables proved to permute its generators exactly;
 those map blocks onto blocks with the same entries, the same union-find
@@ -77,20 +80,18 @@ EXACT_VERIFY_COLS = 48
 EXACT_FALLBACK_COLS = 2000
 
 
-class BadPrime(Exception):
-    """The prime divides a denominator; draw another one."""
-
-
 # -- strand matrices -----------------------------------------------------------
 
 
 @dataclass(eq=False)
 class StrandMatrix:
-    """Sparse exact matrix with its graded provenance (k, d, n) attached.
+    """Sparse exact matrix with its graded provenance (k, n) attached.
 
     Entry i is values[i] at (rows[i], cols[i]); repeated positions add up.
     Indices are kept as int64 arrays, and values as int64 or, when one is
-    a Fraction or an int past int64, as an object array.  Bad input raises
+    an int past int64, as an object array.  Fraction values are stored
+    times the lcm of their denominators, so every stored value is an int;
+    the scaling keeps the rank over Q.  Bad input raises
     ValueError (an index out of range, arrays of unequal length) or
     TypeError (a value that is not an int or Fraction).
 
@@ -107,12 +108,11 @@ class StrandMatrix:
     cols: np.ndarray
     values: np.ndarray
     k: int | None = None
-    d: int | None = None
     n: int | None = None
     symmetries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        self.values = _exact_array(self.values)
+        self.values = _integer_array(self.values)
         for name, bound in (("rows", self.num_rows), ("cols", self.num_cols)):
             index = np.asarray(getattr(self, name))
             if self.values.ndim != 1 or index.shape != self.values.shape or (
@@ -167,7 +167,7 @@ class StrandMatrix:
         first = self.rows[np.array([idx[0] for idx in parts], dtype=np.int64)]
         block_roots = root[first]
         blocks = [StrandMatrix(r, c, local[self.rows[idx]], local[m + self.cols[idx]],
-                               self.values[idx], k=self.k, d=self.d, n=self.n)
+                               self.values[idx], k=self.k, n=self.n)
                   for idx, r, c in zip(parts, rows[block_roots].tolist(),
                                        (nodes - rows)[block_roots].tolist())]
         block_of = np.full(size, -1)
@@ -202,17 +202,6 @@ class StrandMatrix:
                 _check_same_entries(block, rep[0])
             rep[1] += 1
         return [(block, count) for block, count in reps.values()]
-
-    @cached_property
-    def denominator(self) -> int:
-        """The lcm of the entries' denominators, 1 for an integer matrix.
-
-        A prime dividing it kills a denominator, so it is a BadPrime for
-        this matrix and for each of its blocks.
-        """
-        if self.values.dtype != object:
-            return 1
-        return lcm(*{v.denominator for v in self.values.tolist()})
 
     def residues(self, primes) -> np.ndarray:
         """The (rows, primes, cols) int64 stack of the matrix mod each prime."""
@@ -290,23 +279,19 @@ def _exact_array(values) -> np.ndarray:
     return np.array(items, dtype=object)
 
 
-def _residues(values: np.ndarray, primes) -> np.ndarray:
-    """The (len(values), len(primes)) int64 table of values mod each prime.
-
-    Raises BadPrime if a prime divides a denominator.
-    """
-    mod = np.array(primes, dtype=np.int64)
+def _integer_array(values) -> np.ndarray:
+    """_exact_array(values) times the lcm of the values' denominators."""
+    values = _exact_array(values)
     if values.dtype != object:
-        return values[:, None] % mod
-    pairs = np.array([v.as_integer_ratio() for v in values.tolist()], dtype=object)
-    out, dens = (pairs.T[:, :, None] % mod.astype(object)).astype(np.int64)
-    for j, p in enumerate(primes):
-        if not dens[:, j].all():
-            raise BadPrime(f"{p} divides a denominator")
-        distinct, back = np.unique(dens[:, j], return_inverse=True)
-        inv = np.array([pow(v, -1, p) for v in distinct.tolist()], dtype=np.int64)
-        out[:, j] = out[:, j] * inv[back] % p
-    return out
+        return values
+    scale = lcm(*(v.denominator for v in values.tolist()))
+    return _exact_array([int(v * scale) for v in values.tolist()])
+
+
+def _residues(values: np.ndarray, primes) -> np.ndarray:
+    """The (len(values), len(primes)) int64 table of values mod each prime."""
+    out = values[:, None] % np.array(primes, dtype=np.int64)
+    return out.astype(np.int64, copy=False)
 
 
 def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
@@ -315,7 +300,8 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
     Rows are the degree-k monomials (graded-lex order).  Column i*M + j
     multiplies generator i by the j-th degree k-d+1 monomial.  Coefficients
     must be ints or Fractions; anything else raises TypeError here rather
-    than inside a later prime loop.
+    than inside a later prime loop.  They pass through unscaled: the
+    StrandMatrix clears their denominators.
     """
     if not partials:
         raise ValueError("no generators")
@@ -326,8 +312,6 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
     if len(degrees) > 1:
         raise ValueError(f"generators of mixed degrees {sorted(degrees)}")
     gen_degree = degrees.pop()
-    d = gen_degree + 1
-    n = num_vars - 1
     mult_degree = k - gen_degree
     multipliers = monomials_of_degree(num_vars, mult_degree) if mult_degree >= 0 else ()
     num_rows = num_monomials(num_vars, k)
@@ -347,7 +331,7 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
                           len(terms)),
                 np.tile(_exact_array([c for _, c in terms]), len(multipliers))))
     rows, cols, values = (np.concatenate(a) for a in zip(*parts)) if parts else ((),) * 3
-    return StrandMatrix(num_rows, num_cols, rows, cols, values, k=k, d=d, n=n,
+    return StrandMatrix(num_rows, num_cols, rows, cols, values, k=k, n=num_vars - 1,
                         symmetries=_variable_transpositions(partials))
 
 
@@ -686,9 +670,6 @@ def _rank_bareiss(matrix: StrandMatrix) -> int:
     for r, c, v in zip(matrix.rows.tolist(), matrix.cols.tolist(),
                        matrix.values.tolist()):
         dense[r][c] += v
-    for r, row in enumerate(dense):
-        scale = lcm(*(v.denominator for v in row))
-        dense[r] = [int(v * scale) for v in row]
     rank = 0
     prev = 1
     for c in range(n):
@@ -795,8 +776,7 @@ def ranks_mod_primes(matrix: StrandMatrix, primes) -> list[int]:
     """Rank mod each prime, the sum over the blocks of each block's engine rank.
 
     Each symmetry orbit's representative is ranked once for all the primes
-    and counted with its multiplicity.  Raises BadPrime if a prime kills a
-    denominator.
+    and counted with its multiplicity.
     """
     primes = tuple(primes)
     totals = [0] * len(primes)
@@ -838,12 +818,14 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
     """Multi-prime rank with certification.
 
     Draws `primes` distinct random 31-bit primes from the stream seeded by
-    seed and salt, skips any that divide a denominator and ranks the rest
-    together with ranks_mod_primes; on per-prime disagreement escalates to
-    ESCALATION_PRIMES, ranking the new primes together, then falls back to
-    exact fraction-free elimination up to EXACT_FALLBACK_COLS columns.  The
-    exact path also runs unconditionally up to EXACT_VERIFY_COLS columns,
-    and its value is authoritative.  When any block goes to Wiedemann the
+    seed and salt and ranks them together with ranks_mod_primes.  On
+    per-prime disagreement it draws primes up to ESCALATION_PRIMES in all
+    and ranks the new ones together.  Their ranks join the disagreeing
+    ones, so agreement stays False: up to EXACT_FALLBACK_COLS columns the
+    exact fraction-free rank then overrides them all, and past it they
+    only raise the uncertified maximum.  The exact path also runs
+    unconditionally up to EXACT_VERIFY_COLS columns, and its value is
+    authoritative.  When any block goes to Wiedemann the
     rank is a Monte Carlo lower bound that is never checked exactly, so it
     is labelled blackbox-iterative and reported uncertified even when every
     prime agrees.
@@ -857,20 +839,11 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
 
     primes: list[int] = []
     ranks: list[int] = []
-    seen: set[int] = set()
 
     def run_batch(count: int) -> None:
-        # a prime that kills a denominator is skipped before any residue
-        # is formed, so the rest are ranked together
-        batch: list[int] = []
-        while len(primes) + len(batch) < count:
-            (p,) = draw_distinct_primes(rng, 1, exclude=seen)
-            seen.add(p)
-            if matrix.denominator % p:
-                batch.append(p)
-        if batch:
-            ranks.extend(ranks_mod_primes(matrix, batch))
-            primes.extend(batch)
+        batch = draw_distinct_primes(rng, count - len(primes), exclude=primes)
+        ranks.extend(ranks_mod_primes(matrix, batch))
+        primes.extend(batch)
 
     run_batch(config.primes)
     agreement = len(set(ranks)) == 1

@@ -13,8 +13,9 @@ the top-degree part is a scaled Fermat form, smooth at infinity).
 Node coordinates cos(j*pi/d) live in the cyclotomic field of order 2d as
 (zeta^j + zeta^(2d-j))/2, so the nodes are exact.  Ranks are computed
 over prime fields F_p with p = 1 (mod 2d), where the field embeds by
-sending zeta to an element of exact multiplicative order 2d, and every
-rank returned is proved from those modular ranks alone:
+sending zeta to an element of exact multiplicative order 2d (one exists
+for every such p, and ModularEmbedding picks it deterministically), and
+every rank returned is proved from those modular ranks alone:
 
 - a modular rank never exceeds the rank over Q(zeta_2d), so one prime
   whose rank is min(rows, cols) proves it;
@@ -71,7 +72,7 @@ import numpy as np
 
 from .chebyshev import ChebyshevSpec, build, canonical_spec, critical_tuples
 from .domains import CyclotomicElement, CyclotomicField, draw_distinct_primes
-from .linalg import BadPrime, rank_dense_modp
+from .linalg import rank_dense_modp
 from .monomials import monomials_of_degree
 from .poly import SparsePolynomial, partial_derivatives
 
@@ -87,7 +88,6 @@ __all__ = [
     "evaluation_matrix",
     "gradient_check",
     "injectivity_threshold",
-    "modular_embedding",
 ]
 
 
@@ -134,32 +134,27 @@ def affine_monomials(n: int, r: int) -> list[tuple[int, ...]]:
 
 
 class ModularEmbedding:
-    """Ring homomorphism Q(zeta_m) -> F_p for p = 1 (mod m).
+    """Ring homomorphism Q(zeta_m) -> F_p for a prime p = 1 (mod m).
 
-    zeta goes to omega, an element of exact multiplicative order m; the
-    order is verified, not assumed.
+    zeta goes to omega = g^((p-1)/m) for the first g = 2, 3, ... with
+    g^((p-1)/q) = omega^(m/q) != 1 for every prime q dividing m, so omega
+    has exact multiplicative order m.  A primitive root mod p passes, so
+    the search ends, and omega depends on m and p alone.  Any omega of
+    order m fixes a prime ideal above p, which is all a modular rank
+    needs.  A p that is not 1 mod m raises ValueError.
     """
 
-    def __init__(self, fld: CyclotomicField, p: int, rng: random.Random):
-        if (p - 1) % fld.order:
-            raise BadPrime(f"{p} is not 1 mod {fld.order}")
+    def __init__(self, fld: CyclotomicField, p: int):
+        m = fld.order
+        if (p - 1) % m:
+            raise ValueError(f"{p} is not 1 mod {m}")
         self.field = fld
         self.p = p
-        m = fld.order
         factors = _prime_factors(m)
-        cofactor = (p - 1) // m
-        omega = None
-        for _ in range(64):
-            g = rng.randrange(2, p - 1)
-            w = pow(g, cofactor, p)
-            if w != 1 and all(pow(w, m // q, p) != 1 for q in factors):
-                omega = w
-                break
-        if omega is None:
-            raise BadPrime(f"no element of order {m} found mod {p}")
-        self.omega = omega
+        self.omega = next(w for w in (pow(g, (p - 1) // m, p) for g in range(2, p))
+                          if all(pow(w, m // q, p) != 1 for q in factors))
         # images of the basis powers zeta^0 .. zeta^(phi-1)
-        self._basis = [pow(omega, i, p) for i in range(fld.phi)]
+        self._basis = [pow(self.omega, i, p) for i in range(fld.phi)]
 
     def __call__(self, elem: CyclotomicElement) -> int:
         if elem.field.order != self.field.order:
@@ -170,14 +165,9 @@ class ModularEmbedding:
             if c:
                 den = c.denominator % p
                 if den == 0:
-                    raise BadPrime(f"denominator divisible by {p}")
+                    raise ValueError(f"denominator divisible by {p}")
                 total += c.numerator % p * pow(den, -1, p) % p * w
         return total % p
-
-
-def modular_embedding(fld: CyclotomicField, p: int,
-                      rng: random.Random | None = None) -> ModularEmbedding:
-    return ModularEmbedding(fld, p, rng or random.Random(0))
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -291,12 +281,11 @@ class EvaluationMatrix:
             raise ArithmeticError("parity blocks do not cover the node set")
         return blocks
 
-    def rows_modp(self, p: int, rng: random.Random | None = None,
-                  rows: np.ndarray | None = None,
+    def rows_modp(self, p: int, rows: np.ndarray | None = None,
                   cols: np.ndarray | None = None) -> np.ndarray:
         """The matrix mod p, or its submatrix on the given row and column
         indices (all of them by default)."""
-        emb = modular_embedding(self.field, p, rng)
+        emb = ModularEmbedding(self.field, p)
         powers = []
         for base in self._cosines_modp(emb):
             row = [1]
@@ -405,8 +394,8 @@ def _evaluation_rank(matrix: EvaluationMatrix, config: OracleConfig,
     block is done once its best rank is min(rows, cols), or once it has
     been ranked mod more than _bad_prime_bound(best + 1, its column
     degrees) primes, so no larger rank survives.  Each prime evaluates
-    only the rows and columns of the blocks still open.  A prime without
-    an element of order 2d (BadPrime) does not count.
+    only the rows and columns of the blocks still open, and every drawn
+    prime counts: each has an element of order 2d.
     """
     rng = random.Random(f"{config.seed}|{salt}")
     phi = matrix.field.phi
@@ -423,11 +412,7 @@ def _evaluation_rank(matrix: EvaluationMatrix, config: OracleConfig,
                                   lo=1 << _PRIME_BITS, exclude=primes)
         rows = np.unique(np.concatenate([t[1] for t in todo]))
         cols = np.unique(np.concatenate([t[2] for t in todo]))
-        try:
-            arr = matrix.rows_modp(p, random.Random(rng.randrange(1 << 62)),
-                                   rows, cols)
-        except BadPrime:
-            continue
+        arr = matrix.rows_modp(p, rows, cols)
         primes.append(p)
         still_open = []
         for block in todo:

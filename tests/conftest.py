@@ -22,6 +22,11 @@ class PipelineCache:
     def __init__(self):
         self._reports = {}
 
+    def store_cc(self, n, d, report, k=None):
+        """Keep a report of CC(n,d) that a test computed for itself, so
+        later tests reuse it instead of running analyze() again."""
+        self._reports[("cc", n, d, k)] = report
+
     def cc(self, n, d, k=None):
         key = ("cc", n, d, k)
         if key not in self._reports:

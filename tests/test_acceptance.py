@@ -2,7 +2,8 @@
 
 Each test is a single pass/fail line under pytest -v. Reports are shared
 through the session pipeline fixture except where a criterion states a
-runtime budget, in which case the run is timed fresh.
+runtime budget, in which case the run is timed fresh and then handed to
+the fixture for the later criteria.
 """
 
 import json
@@ -51,7 +52,7 @@ def test_criterion_01_kummer_exact_numbers():
     assert elapsed < 2.0, f"kummer run took {elapsed:.2f}s"
 
 
-def test_criterion_02_node_counts_formula_and_stabilization():
+def test_criterion_02_node_counts_formula_and_stabilization(pipeline):
     budgets = {(2, 5): 60, (3, 3): 60, (3, 4): 60, (4, 5): 600}
     taus = {(2, 5): 8, (3, 3): 3, (3, 4): 12, (4, 5): 96}
     for (n, d), tau in taus.items():
@@ -64,6 +65,7 @@ def test_criterion_02_node_counts_formula_and_stabilization():
         assert rep.thresholds.tau == tau, (n, d)
         assert rep.hilbert.stable_value == tau
         assert elapsed < budgets[(n, d)], f"CC({n},{d}) took {elapsed:.1f}s"
+        pipeline.store_cc(n, d, rep)
 
 
 def test_criterion_03_stability_threshold_formula(pipeline):

@@ -191,6 +191,15 @@ def test_defects_input_validation(capsys):
     assert code == 1  # C(2,3,1) is smooth: parity fails
 
 
+def test_defects_needs_exactly_one_input(capsys):
+    # neither a polynomial nor --cc, then both: the same message each time
+    for argv in (["defects"], ["defects", "x0^2+x1^2", "--cc", "2,3"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: pass exactly one of a polynomial or "
+                       "--cc N,D[,K]\n")
+
+
 def test_cache_inspect_and_clear_cli(tmp_path, capsys):
     code, out, _ = run(["analyze", "x0^3 + x1^3 + x2^3"], capsys)
     assert code == 0

@@ -14,7 +14,6 @@ from milnor import linalg
 from milnor.chebyshev import build, canonical_spec
 from milnor.domains import draw_distinct_primes
 from milnor.linalg import (
-    BadPrime,
     RankConfig,
     StrandMatrix,
     berlekamp_massey_modp,
@@ -486,9 +485,12 @@ def test_strand_matrix_rejects_bad_input():
     for values in ([1.5], np.array([1.5]), ["1"], [1, None]):
         with pytest.raises(TypeError, match="int or Fraction"):
             StrandMatrix(2, 2, [0, 1][: len(values)], [0, 1][: len(values)], values)
-    # ints past int64 and Fractions are kept exactly, in an object array
+    # ints past int64 are kept exactly, in an object array, and Fractions
+    # are scaled by the lcm of the denominators
     sm = StrandMatrix(2, 2, [0, 1], [1, 0], [2**70, Fraction(1, 3)])
-    assert sm.values.dtype == object and sm.values.tolist() == [2**70, Fraction(1, 3)]
+    assert sm.values.dtype == object and sm.values.tolist() == [3 * 2**70, 1]
+    sm = StrandMatrix(2, 2, [0, 1], [1, 0], [Fraction(1, 6), Fraction(-3, 4)])
+    assert sm.values.dtype == np.int64 and sm.values.tolist() == [2, -9]
     assert StrandMatrix(2, 2, np.array([1]), [1], np.array([-4])).values.dtype == np.int64
 
 
@@ -755,16 +757,28 @@ def test_bad_prime_denominator_rejected():
     assert all(p != 7 for p in res.primes)
 
 
-def test_bad_prime_skipped_before_ranking():
-    # the first prime of the seed-0 stream divides the only denominator:
-    # it is skipped, and the next three draws are ranked
-    p0, *rest = draw_distinct_primes(random.Random("0|"), 4)
+def test_prime_dividing_a_denominator_is_ranked():
+    # the first prime of the seed-0 stream divides the only denominator;
+    # the entry is stored scaled to 1, so that prime is ranked like the
+    # next two draws
+    drawn = draw_distinct_primes(random.Random("0|"), 3)
+    p0 = drawn[0]
     sm = StrandMatrix(1, 1, [0], [0], [Fraction(1, p0)])
     res = certified_rank(sm, RankConfig(seed=0))
-    assert res.primes == rest
-    assert res.ranks == [1, 1, 1]
-    with pytest.raises(BadPrime):
-        rank_mod_p(sm, p0)
+    assert res.primes == drawn
+    assert res.ranks == [1, 1, 1] and res.rank == 1 and res.agreement
+    assert rank_mod_p(sm, p0) == 1
+    # diag(1, 1/p0) is stored as diag(p0, 1): p0 kills an entry and drops
+    # the rank, so the primes disagree and the exact path certifies 2
+    sm = StrandMatrix(2, 2, [0, 1], [0, 1], [1, Fraction(1, p0)])
+    assert sm.values.tolist() == [p0, 1]
+    assert rank_mod_p(sm, p0) == 1
+    res = certified_rank(sm, RankConfig(seed=0))
+    assert res.primes[0] == p0 and res.ranks[:3] == [1, 2, 2]
+    assert not res.agreement
+    assert res.rank == 2 == rank_exact(sm)
+    assert res.certified and res.exact_verified
+    assert res.method == "dense-fraction-free"
 
 
 def test_strand_rejects_inexact_coefficients():

@@ -3,6 +3,7 @@
 import io
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,15 +11,14 @@ import pytest
 import milnor.linalg
 import milnor.nodes
 from milnor.chebyshev import ChebyshevSpec, build, canonical_spec, cc_node_count
-from milnor.domains import CyclotomicField, draw_distinct_primes
-from milnor.linalg import BadPrime
+from milnor.domains import CyclotomicElement, CyclotomicField, draw_distinct_primes
 from milnor.monomials import num_monomials
-from milnor.nodes import (EvaluationMatrix, OracleConfig, _bad_prime_bound,
-                          _evaluation_rank, _vanishes_on_nodes,
-                          affine_monomials, defect_direct,
-                          dump_nodes, enumerate_nodes, evaluation_matrix,
-                          gradient_check, injectivity_threshold,
-                          modular_embedding)
+from milnor.nodes import (EvaluationMatrix, ModularEmbedding, OracleConfig,
+                          _bad_prime_bound, _evaluation_rank,
+                          _vanishes_on_nodes, affine_monomials,
+                          defect_direct, dump_nodes, enumerate_nodes,
+                          evaluation_matrix, gradient_check,
+                          injectivity_threshold)
 from milnor.poly import SparsePolynomial, parse_polynomial
 
 
@@ -49,12 +49,12 @@ def test_dump_nodes_frozen():
 
 def test_modular_embedding_is_homomorphism():
     fld = CyclotomicField(8)
-    emb = modular_embedding(fld, 17, random.Random(0))
+    emb = ModularEmbedding(fld, 17)
+    # 3 is the first g with g^8 != 1 mod 17, and omega = 3^2
     assert emb.omega == 9
     assert pow(emb.omega, 8, 17) == 1 and pow(emb.omega, 4, 17) != 1
     assert emb(fld.scalar(1)) == 1
     assert emb(fld.cos_root(1, 4)) == 14
-    from milnor.domains import CyclotomicElement
     rng = random.Random(1)
     for _ in range(100):
         a = CyclotomicElement(fld, [rng.randrange(-5, 6)
@@ -63,11 +63,32 @@ def test_modular_embedding_is_homomorphism():
                                     for _ in range(fld.phi)])
         assert emb(a * b) == emb(a) * emb(b) % 17
         assert emb(a + b) == (emb(a) + emb(b)) % 17
+    # omega has exact order m and depends on m and p alone, for large
+    # primes and for small ones
+    draws = random.Random(2)
+    for m in (6, 8, 10, 12, 14, 16):
+        fld = CyclotomicField(m)
+        small = [p for p in (7, 11, 13, 17, 29, 41, 73, 97, 113) if p % m == 1]
+        for p in small + draw_distinct_primes(draws, 10, modulus=m):
+            omega = ModularEmbedding(fld, p).omega
+            assert pow(omega, m, p) == 1, (m, p)
+            assert all(pow(omega, m // q, p) != 1
+                       for q in (2, 3, 5, 7) if m % q == 0), (m, p)
+            assert ModularEmbedding(fld, p).omega == omega
+    # so the matrix mod p is a function of p
+    mat = evaluation_matrix(3, 4, 3)
+    for p in draw_distinct_primes(draws, 3, modulus=8) + [17, 41, 73]:
+        assert (mat.rows_modp(p) == mat.rows_modp(p)).all()
+        assert (evaluation_matrix(3, 4, 3).rows_modp(p) == mat.rows_modp(p)).all()
 
 
 def test_modular_embedding_rejects_bad_prime():
-    with pytest.raises(BadPrime):
-        modular_embedding(CyclotomicField(8), 19, random.Random(0))
+    fld = CyclotomicField(8)
+    with pytest.raises(ValueError, match="not 1 mod 8"):
+        ModularEmbedding(fld, 19)
+    emb = ModularEmbedding(fld, 17)
+    with pytest.raises(ValueError, match="denominator divisible by 17"):
+        emb(fld.scalar(Fraction(1, 17)))
 
 
 def test_affine_monomials_blocked_by_degree():
@@ -93,14 +114,14 @@ def test_evaluation_matrix_shape_and_exact_rows():
         assert mat.num_cols == num_monomials(n + 1, r)  # homogenized
         exact = mat.rows_exact()
         for p in primes:
-            emb = modular_embedding(mat.field, p, random.Random(p))
-            modp = mat.rows_modp(p, random.Random(p))
+            emb = ModularEmbedding(mat.field, p)
+            modp = mat.rows_modp(p)
             assert modp.shape == (mat.num_rows, mat.num_cols)
             for i in range(mat.num_rows):
                 for j in range(mat.num_cols):
                     assert emb(exact[i][j]) == int(modp[i, j]), (n, d, r, p)
             rows, cols = mat.representatives[::2], list(range(1, mat.num_cols, 3))
-            sub = mat.rows_modp(p, random.Random(p), rows, cols)
+            sub = mat.rows_modp(p, rows, cols)
             assert (sub == modp[np.ix_(rows, cols)]).all()
 
 
@@ -109,7 +130,7 @@ def test_modular_cosines_match_exact_embedding():
     for d in (4, 5, 6, 8):
         mat = evaluation_matrix(2, d, 1)
         for p in draw_distinct_primes(rng, 2, modulus=2 * d):
-            emb = modular_embedding(mat.field, p, random.Random(p))
+            emb = ModularEmbedding(mat.field, p)
             assert mat._cosines_modp(emb) == [
                 emb(mat.field.cos_root(j, d)) for j in range(d)], (d, p)
 
