@@ -1,6 +1,6 @@
 """
-Certified sparse rank: multiple primes, escalation, exact fallback
-==================================================================
+Certified sparse rank: multiple primes, exact fallback
+======================================================
 
 Every Hilbert function value is a corank of a strand of the Jacobian ideal.
 Ranks are computed mod several independently seeded 31-bit primes; modular

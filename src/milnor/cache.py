@@ -1,14 +1,13 @@
 """Content-addressed cache for certified Hilbert functions.
 
 The cache key hashes the canonical polynomial text together with every
-value that influences the stored ranks or their certificate: the prime
-count and seed of the RankConfig, and the linalg constants
-ESCALATION_PRIMES, EXACT_FALLBACK_COLS and EXACT_VERIFY_COLS (which decide
-method, exact_verified and certified).  The constants keep the payload
-names they had as settings, so existing keys stay valid.  Changing any of
-these values gives a different entry.  Entries are small JSON objects, one
-file each; a file that does not hold one is corrupt.  load() skips it with
-a warning, so it is recomputed, and entries() lists it as corrupt.
+value that decides the stored ranks or their certificate: the prime count
+and seed of the RankConfig, and the linalg constants EXACT_FALLBACK_COLS
+and EXACT_VERIFY_COLS (which decide method, exact_verified and certified),
+each under its own name.  Changing any of these values gives a different
+entry.  Entries are small JSON objects, one file each; a file that does not
+hold one is corrupt.  load() skips it with a warning, so it is recomputed,
+and entries() lists it as corrupt.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from dataclasses import asdict, fields
 from typing import Optional
 
 from .hilbert import HilbertFunction, hilbert_function
-from .linalg import (ESCALATION_PRIMES, EXACT_FALLBACK_COLS, EXACT_VERIFY_COLS,
-                     RankConfig, RankResult)
+from .linalg import (EXACT_FALLBACK_COLS, EXACT_VERIFY_COLS, RankConfig,
+                     RankResult)
 from .poly import SparsePolynomial, format_polynomial
 
 CACHE_ENV = "MILNOR_CACHE_DIR"
@@ -34,16 +33,13 @@ def default_cache_dir() -> str:
         os.path.expanduser("~"), ".cache", "milnor")
 
 
-def cache_key(f: SparsePolynomial, up_to: Optional[int],
-              config: RankConfig) -> str:
+def cache_key(f: SparsePolynomial, config: RankConfig) -> str:
     payload = {
         "polynomial": format_polynomial(f),
         "num_vars": f.num_vars,
-        "up_to": up_to,
         "primes": config.primes,
-        "escalation_primes": ESCALATION_PRIMES,
         "seed": config.seed,
-        "dense_threshold": EXACT_FALLBACK_COLS,
+        "exact_fallback_cols": EXACT_FALLBACK_COLS,
         "exact_verify_cols": EXACT_VERIFY_COLS,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -140,7 +136,7 @@ def cached_hilbert_function(f: SparsePolynomial, config: RankConfig,
                             cache: HilbertCache,
                             jobs: int = 1) -> HilbertFunction:
     """hilbert_function with a read-through cache keyed on input and seed."""
-    key = cache_key(f, None, config)
+    key = cache_key(f, config)
     hf = cache.load(key)
     if hf is None:
         hf = hilbert_function(f, config=config, jobs=jobs)

@@ -127,8 +127,9 @@ def _emit(content: str, args, filename: str) -> None:
         sys.stdout.write(content)
 
 
-def _finish(report, args, t0: float):
-    if args.timing:
+def _finish(report, timing: bool, t0: float):
+    """report, with the seconds since t0 as its timing if timing is set."""
+    if timing:
         report.timing = {"seconds": round(time.perf_counter() - t0, 3)}
     return report
 
@@ -147,7 +148,7 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     report = _finish(analyze(f, source=label, config=config,
                              nodal=not args.no_nodal, cache=_cache(args)),
-                     args, t0)
+                     args.timing, t0)
     _emit(report.render(args.format), args,
           f"{_slug(label)}.{_EXTENSIONS[args.format]}")
     return EXIT_OK if report.certified else EXIT_UNCERTIFIED
@@ -177,8 +178,10 @@ def _parse_degree_spec(spec: str, even_only: bool) -> list[int]:
 
 
 def _grid_worker(payload):
-    spec, config, cache = payload
-    return analyze(chebyshev=spec, config=config, cache=cache)
+    spec, config, cache, timing = payload
+    t0 = time.perf_counter()
+    return _finish(analyze(chebyshev=spec, config=config, cache=cache),
+                   timing, t0)
 
 
 def _cmd_chebyshev(args) -> int:
@@ -193,9 +196,9 @@ def _cmd_chebyshev(args) -> int:
     # strands serially; a single spec keeps the strand-level pool
     grid_config = replace(config, jobs=1) if len(specs) > 1 else config
     cache = _cache(args)
-    t0 = time.perf_counter()
-    reports = [_finish(rep, args, t0) for rep in parallel_map(
-        _grid_worker, [(s, grid_config, cache) for s in specs], config.jobs)]
+    reports = parallel_map(
+        _grid_worker, [(s, grid_config, cache, args.timing) for s in specs],
+        config.jobs)
 
     verdicts = sorted((v for r in reports for v in r.conjectures),
                       key=lambda v: (v.name, v.n, v.d))

@@ -5,10 +5,10 @@ The degree-k strand of a Jacobian ideal is the linear map
 graded piece into the degree-k piece.  Ranks are computed modulo several
 random 31-bit primes; ranks mod p never exceed the rational rank, so the
 maximum over primes is a certified lower bound, and agreement across
-independent primes certifies the value (escalating to more primes and then
-to exact fraction-free elimination on disagreement).  RankConfig holds the
-only settable values, the prime count and the seed; every cutoff is a
-module constant below.
+independent primes certifies the value (falling back to exact
+fraction-free elimination on disagreement).  RankConfig holds the only
+settable values, the prime count and the seed; every cutoff is a module
+constant below.
 
 A StrandMatrix holds its entries as three parallel arrays: int64 rows and
 columns, and integer values in int64 (or objects, for ints past int64),
@@ -23,7 +23,7 @@ apart into many such blocks.  A strand also records in `symmetries` the
 transpositions of the variables proved to permute its generators exactly;
 those map blocks onto blocks with the same entries, the same union-find
 joins such blocks into orbits, and one block per orbit is ranked and
-counted with the orbit's size.  Each ranked block gets its own engine:
+counted with the orbit's size.  Each ranked block gets one of two engines:
   * dense mod-p elimination a panel of columns at a time: int64 row
     operations on the panel, then the Schur complement of the remaining
     columns in float64 BLAS matmuls of the left factor's two halves (exact
@@ -33,11 +33,9 @@ counted with the orbit's size.  Each ranked block gets its own engine:
   * sparse Markowitz elimination that escapes to the dense kernel when the
     active submatrix fills in, for the large sparse blocks: of the inputs
     surveyed, CC(3,5) at k=13 (560x880), CC(3,8) at k=25, and CC(4,5) at
-    k >= 11 and CC(4,6) at k >= 17, where it beats the dense kernel;
-  * Wiedemann/Berlekamp-Massey blackbox for very large sparse inputs
-    (Monte Carlo; still a lower bound, used beyond the nnz cutoff, and
-    never reported as certified);
-  * fraction-free Bareiss elimination over the integers (exact, authoritative).
+    k >= 11 and CC(4,6) at k >= 17, where it beats the dense kernel.
+Fraction-free Bareiss elimination over the integers gives the exact,
+authoritative rank of small strands and of strands whose primes disagree.
 """
 
 from __future__ import annotations
@@ -54,28 +52,24 @@ import numpy as np
 from .domains import draw_distinct_primes
 from .monomials import grlex_ranks, monomials_of_degree, num_monomials
 
-# Engine thresholds, applied by _engine to each block: above BLACKBOX_NNZ
-# nonzeros the Wiedemann blackbox runs; otherwise narrow or dense blocks go
-# straight to the dense kernel and the rest to Markowitz elimination.
+# Engine thresholds, applied by _engine to each block: narrow or dense
+# blocks go straight to the dense kernel and the rest to Markowitz elimination.
 # Markowitz elimination hands its active submatrix to the dense kernel once
 # it has at most DENSE_COLS columns or a density above ESCAPE_DENSITY; the
 # dense kernel takes DENSE_PANEL columns per panel.  A dense block is
 # stacked with as many primes as keep rows x primes x cols within
 # STACK_CELLS (at least one), so large blocks keep one prime at a time and
 # their peak memory does not grow with the prime count.
-BLACKBOX_NNZ = 200_000
 DENSE_COLS = 700
 DENSE_DENSITY = 0.02
 ESCAPE_DENSITY = 0.04
 DENSE_PANEL = 48
 STACK_CELLS = 1 << 17
 
-# Certification cutoffs, applied by certified_rank: primes disagreeing
-# escalate to ESCALATION_PRIMES primes in all; a matrix of at most
+# Certification cutoffs, applied by certified_rank: a matrix of at most
 # EXACT_VERIFY_COLS columns is always ranked exactly, and one of at most
-# EXACT_FALLBACK_COLS columns when the primes still disagree.  cache_key
-# hashes all three, since they decide method, exact_verified and certified.
-ESCALATION_PRIMES = 7
+# EXACT_FALLBACK_COLS columns when the primes disagree.  cache_key hashes
+# both, since they decide method, exact_verified and certified.
 EXACT_VERIFY_COLS = 48
 EXACT_FALLBACK_COLS = 2000
 
@@ -566,6 +560,7 @@ def _dense_escape(rows, alive_cols, p: int) -> int:
 
 
 # -- Wiedemann blackbox ---------------------------------------------------------------
+# No rank route calls it; perfbench/tracing.py still wraps rank_blackbox_modp.
 
 
 def _csr_arrays(num_rows: int, rows_idx, cols_idx, vals):
@@ -763,9 +758,7 @@ class RankResult:
 
 
 def _engine(matrix: StrandMatrix) -> str:
-    """The mod-p engine for a nonempty matrix: "blackbox", "dense" or "sparse"."""
-    if matrix.nnz > BLACKBOX_NNZ:
-        return "blackbox"
+    """The mod-p engine for a nonempty matrix: "dense" or "sparse"."""
     density = matrix.nnz / (matrix.num_rows * matrix.num_cols)
     if matrix.num_cols <= DENSE_COLS or density > DENSE_DENSITY:
         return "dense"
@@ -793,23 +786,16 @@ def rank_mod_p(matrix: StrandMatrix, p: int) -> int:
 
 def _block_ranks(block: StrandMatrix, primes: tuple[int, ...]) -> list[int]:
     """A block's rank mod each prime.  Dense blocks take the primes in
-    stacks within STACK_CELLS; the other engines take one at a time."""
-    engine = _engine(block)
+    stacks within STACK_CELLS; Markowitz takes one prime at a time."""
+    if _engine(block) == "sparse":
+        return [rank_sparse_modp(block.num_rows, block.num_cols, block.rows,
+                                 block.cols, vals, p)
+                for p, vals in zip(primes, _residues(block.values, primes).T)]
     ranks = []
-    if engine == "dense":
-        per = max(1, STACK_CELLS // (block.num_rows * block.num_cols))
-        for i in range(0, len(primes), per):
-            batch = primes[i : i + per]
-            ranks += rank_dense_modp(block.residues(batch), batch)
-        return ranks
-    for p, vals in zip(primes, _residues(block.values, primes).T):
-        if engine == "blackbox":
-            rng = random.Random(f"blackbox|{p}|{block.num_rows}x{block.num_cols}")
-            ranks.append(rank_blackbox_modp(
-                block.num_rows, block.num_cols, block.rows, block.cols, vals, p, rng))
-        else:
-            ranks.append(rank_sparse_modp(
-                block.num_rows, block.num_cols, block.rows, block.cols, vals, p))
+    per = max(1, STACK_CELLS // (block.num_rows * block.num_cols))
+    for i in range(0, len(primes), per):
+        batch = primes[i : i + per]
+        ranks += rank_dense_modp(block.residues(batch), batch)
     return ranks
 
 
@@ -818,57 +804,24 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
     """Multi-prime rank with certification.
 
     Draws `primes` distinct random 31-bit primes from the stream seeded by
-    seed and salt and ranks them together with ranks_mod_primes.  On
-    per-prime disagreement it draws primes up to ESCALATION_PRIMES in all
-    and ranks the new ones together.  Their ranks join the disagreeing
-    ones, so agreement stays False: up to EXACT_FALLBACK_COLS columns the
-    exact fraction-free rank then overrides them all, and past it they
-    only raise the uncertified maximum.  The exact path also runs
-    unconditionally up to EXACT_VERIFY_COLS columns, and its value is
-    authoritative.  When any block goes to Wiedemann the
-    rank is a Monte Carlo lower bound that is never checked exactly, so it
-    is labelled blackbox-iterative and reported uncertified even when every
-    prime agrees.
+    seed and salt and ranks them together with ranks_mod_primes.  A matrix
+    of at most EXACT_VERIFY_COLS columns, or of at most EXACT_FALLBACK_COLS
+    when the primes disagree, is then ranked exactly by fraction-free
+    elimination, and that rank is authoritative.  Otherwise the rank is the
+    largest modular rank, certified only when every prime agrees.
     """
     if config is None:
         config = RankConfig()
     if not matrix.nnz:
         return RankResult(rank=0, method="sparse-elimination")
     rng = random.Random(f"{config.seed}|{salt}")
-    blackbox = any(_engine(block) == "blackbox" for block, _ in matrix.orbits)
-
-    primes: list[int] = []
-    ranks: list[int] = []
-
-    def run_batch(count: int) -> None:
-        batch = draw_distinct_primes(rng, count - len(primes), exclude=primes)
-        ranks.extend(ranks_mod_primes(matrix, batch))
-        primes.extend(batch)
-
-    run_batch(config.primes)
+    primes = draw_distinct_primes(rng, config.primes)
+    ranks = ranks_mod_primes(matrix, primes)
     agreement = len(set(ranks)) == 1
-    if not agreement:
-        run_batch(max(ESCALATION_PRIMES, config.primes))
-        agreement = len(set(ranks)) == 1
-
-    rank = max(ranks)
-    method = "blackbox-iterative" if blackbox else "sparse-elimination"
-    certified = agreement and not blackbox
-    exact_verified = False
-    need_exact = matrix.num_cols <= EXACT_VERIFY_COLS or (
-        not agreement and matrix.num_cols <= EXACT_FALLBACK_COLS
-    )
-    if need_exact and not blackbox:
-        rank = rank_exact(matrix)
-        method = "dense-fraction-free"
-        certified = True
-        exact_verified = True
-    return RankResult(
-        rank=rank,
-        primes=primes,
-        ranks=ranks,
-        agreement=agreement,
-        certified=certified,
-        method=method,
-        exact_verified=exact_verified,
-    )
+    if matrix.num_cols <= EXACT_VERIFY_COLS or (
+            not agreement and matrix.num_cols <= EXACT_FALLBACK_COLS):
+        return RankResult(rank=rank_exact(matrix), primes=primes, ranks=ranks,
+                          agreement=agreement, method="dense-fraction-free",
+                          exact_verified=True)
+    return RankResult(rank=max(ranks), primes=primes, ranks=ranks,
+                      agreement=agreement, certified=agreement)

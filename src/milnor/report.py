@@ -215,7 +215,6 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
         shift = f"({chebyshev.n},{chebyshev.d})" if chebyshev.canonical else \
             f"({chebyshev.n},{chebyshev.d},{chebyshev.k})"
         source = source or tag + shift
-        nodal = True
     source = source or "inline"
 
     check_degree_cap(f.num_vars - 1, f.degree, config.max_degree)

@@ -3,10 +3,12 @@
 import io
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import FERMAT_TEXT, KUMMER_TEXT
+from milnor import cli
 from milnor.cli import main
 
 
@@ -120,6 +122,27 @@ def test_chebyshev_json_aggregate(capsys):
     assert doc["reports"][0]["thresholds"] == {
         "T": 9, "tau": 8, "ct": 6, "st": 7, "mdr": 3, "smooth": False}
     assert doc["verdicts"][0]["label"] == "new data point"
+
+
+def test_chebyshev_timing_is_per_report(capsys, monkeypatch):
+    # a fake clock that only analyze advances, by d seconds for degree d:
+    # each report must read its own analyze time, not the grid's
+    clock = [0.0]
+    real_analyze = cli.analyze
+
+    def analyze(*, chebyshev, **kwargs):
+        clock[0] += chebyshev.d
+        return real_analyze(chebyshev=chebyshev, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", analyze)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    argv = ["chebyshev", "--n", "2", "--d", "3,4,7", "--no-cache"]
+    code, out, _ = run(argv + ["--timing"], capsys)
+    assert code == 0
+    assert [r["timing"] for r in json.loads(out)["reports"]] == [
+        {"seconds": 3.0}, {"seconds": 4.0}, {"seconds": 7.0}]
+    code, out, _ = run(argv, capsys)
+    assert [r["timing"] for r in json.loads(out)["reports"]] == [None] * 3
 
 
 def test_chebyshev_k_override(capsys):

@@ -331,10 +331,18 @@ def test_rank_mod_p_dispatch_consistency(monkeypatch):
     assert linalg._engine(sm) == "sparse"
     want = naive_rank_modp(a, p)
     assert _rank_with_spy(monkeypatch, "rank_sparse_modp", sm, p) == want
-    # Wiedemann side: every nonzero counts as too many
-    monkeypatch.setattr(linalg, "BLACKBOX_NNZ", 0)
-    assert linalg._engine(sm) == "blackbox"
-    assert _rank_with_spy(monkeypatch, "rank_blackbox_modp", sm, p) <= want
+
+
+def test_engine_has_no_nonzero_cutoff():
+    # 2000 x 20,000 with 250,000 nonzeros, density 0.00625: however many
+    # nonzeros a wide sparse block has, Markowitz ranks it (built, not ranked)
+    rng = np.random.default_rng(16)
+    nnz = 250_000
+    sm = StrandMatrix(2000, 20_000, rng.integers(0, 2000, nnz),
+                      rng.integers(0, 20_000, nnz), np.ones(nnz, dtype=np.int64))
+    assert sm.nnz > 200_000
+    assert sm.nnz <= linalg.DENSE_DENSITY * sm.num_rows * sm.num_cols
+    assert linalg._engine(sm) == "sparse"
 
 
 def _rank_with_spy(monkeypatch, engine, sm, p):
@@ -640,21 +648,20 @@ def test_rank_config_needs_a_prime():
     for primes in (0, -1):
         with pytest.raises(ValueError, match="primes"):
             RankConfig(primes=primes)
-    # one prime is a valid configuration, and agreeing with itself it
-    # never escalates
+    # one prime is a valid configuration, and it agrees with itself
     res = certified_rank(StrandMatrix(1, 1, [0], [0], [3]), RankConfig(primes=1))
     assert res.rank == 1 and len(res.primes) == 1
 
 
-def test_disagreement_escalates_then_falls_back_to_exact():
+def test_disagreement_falls_back_to_exact():
     # the first prime of the seed-0 "esc" stream kills the only entry, so
     # it alone ranks 0 and the primes disagree
     (p0,) = draw_distinct_primes(random.Random("0|esc"), 1)
     res = certified_rank(StrandMatrix(1, 1, [0], [0], [p0]), RankConfig(seed=0),
                          salt="esc")
     assert res.primes[0] == p0
-    assert res.ranks == [0, 1, 1, 1, 1, 1, 1]
-    assert len(res.primes) == linalg.ESCALATION_PRIMES
+    assert res.ranks == [0, 1, 1]
+    assert len(res.primes) == RankConfig().primes
     assert not res.agreement
     assert res.rank == 1 and res.certified and res.exact_verified
     assert res.method == "dense-fraction-free"
@@ -662,7 +669,7 @@ def test_disagreement_escalates_then_falls_back_to_exact():
     # maximum is reported, uncertified
     wide = StrandMatrix(1, linalg.EXACT_FALLBACK_COLS + 1, [0], [0], [p0])
     res = certified_rank(wide, RankConfig(seed=0), salt="esc")
-    assert res.ranks == [0, 1, 1, 1, 1, 1, 1]
+    assert res.ranks == [0, 1, 1]
     assert res.rank == 1
     assert not res.agreement and not res.certified and not res.exact_verified
     assert res.method == "sparse-elimination"
@@ -684,18 +691,6 @@ def test_wide_matrix_with_few_nonempty_columns_goes_dense(monkeypatch):
 
     monkeypatch.setattr(linalg, "rank_sparse_modp", refuse)
     assert rank_mod_p(sm, p) == naive_rank_modp(a, p)
-
-
-def test_blackbox_rank_is_never_certified(monkeypatch):
-    rng = random.Random(13)
-    a = random_matrix(rng, 12, 10, 1000, density=0.5, rank_cap=6)
-    sm = to_triplets(a)
-    monkeypatch.setattr(linalg, "BLACKBOX_NNZ", 0)
-    res = certified_rank(sm, RankConfig(seed=0))
-    assert res.method == "blackbox-iterative"
-    assert res.agreement and not res.certified
-    assert not res.exact_verified  # below EXACT_VERIFY_COLS, still not exact
-    assert res.rank <= rank_exact(sm)
 
 
 def test_certified_rank_determinism_and_exact_verify():

@@ -56,11 +56,11 @@ def test_frozen_bytes_seed0(tmp_path):
         "f1dd05032a7dee3bd7ecca4f414e07c54cfd17698f473b5918177d94fd712217", 5008)
     cache = HilbertCache(str(tmp_path))
     cached_hilbert_function(f, config, cache)
-    key = cache_key(f, None, RankConfig(seed=0))
+    key = cache_key(f, RankConfig(seed=0))
     # existing caches keep hitting only while the key is unchanged
-    assert key == ("ca62dacaf21e61a1ba91be35bd1906b3"
-                   "c8a50d4934a2afb311dac502b40dc1c9")
-    assert cache_key(f, None, config) == key
+    assert key == ("35a86b1e65998c7c107f74a8ba62ba8a"
+                   "35756695f743bb9e213d2940aa3897e9")
+    assert cache_key(f, config) == key
     with open(cache.path(key), "rb") as fh:
         entry = fh.read()
     assert (hashlib.sha256(entry).hexdigest(), len(entry)) == (
@@ -110,6 +110,14 @@ def test_analyze_without_nodal_assumption():
     json.dumps(doc)
 
 
+def test_chebyshev_input_keeps_nodal_false():
+    rep = analyze(chebyshev=canonical_spec(3, 4), nodal=False,
+                  config=RunConfig(seed=0))
+    assert not rep.nodal_assumed
+    assert rep.defects is None and rep.alexander is None
+    assert rep.betti is None and rep.conjectures == []
+
+
 def test_lint_catches_failed_check(kummer):
     assert kummer.lint_failures() == []
     tampered = HypersurfaceReport(**{**kummer.__dict__})
@@ -149,17 +157,16 @@ def test_cache_round_trip(tmp_path):
 def test_cache_key_sensitivity(monkeypatch):
     f = parse_polynomial(KUMMER_TEXT, num_vars=4)
     g = parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4", num_vars=4)
-    base = cache_key(f, None, RankConfig(seed=0))
-    assert cache_key(f, None, RankConfig(seed=1)) != base
-    assert cache_key(f, None, RankConfig(seed=0, primes=5)) != base
-    assert cache_key(g, None, RankConfig(seed=0)) != base
+    base = cache_key(f, RankConfig(seed=0))
+    assert cache_key(f, RankConfig(seed=1)) != base
+    assert cache_key(f, RankConfig(seed=0, primes=5)) != base
+    assert cache_key(g, RankConfig(seed=0)) != base
     # the certification cutoffs decide method, exact_verified and certified
-    for name in ("ESCALATION_PRIMES", "EXACT_FALLBACK_COLS",
-                 "EXACT_VERIFY_COLS"):
+    for name in ("EXACT_FALLBACK_COLS", "EXACT_VERIFY_COLS"):
         with monkeypatch.context() as patch:
             patch.setattr(cache_module, name, 0)
-            assert cache_key(f, None, RankConfig(seed=0)) != base, name
-    assert cache_key(f, None, RankConfig(seed=0)) == base
+            assert cache_key(f, RankConfig(seed=0)) != base, name
+    assert cache_key(f, RankConfig(seed=0)) == base
 
 
 def test_cache_corrupt_entry_skipped(tmp_path):
@@ -167,7 +174,7 @@ def test_cache_corrupt_entry_skipped(tmp_path):
     cache = HilbertCache(str(tmp_path))
     cfg = RankConfig(seed=0)
     hf = cached_hilbert_function(f, cfg, cache)
-    key = cache_key(f, None, cfg)
+    key = cache_key(f, cfg)
     with open(cache.path(key), "w") as fh:
         fh.write("{ not json")
     with pytest.warns(UserWarning, match="corrupt cache entry"):
@@ -181,7 +188,7 @@ def test_cache_entry_missing_field_skipped(tmp_path):
     cache = HilbertCache(str(tmp_path))
     cfg = RankConfig(seed=0)
     cached_hilbert_function(f, cfg, cache)
-    key = cache_key(f, None, cfg)
+    key = cache_key(f, cfg)
     with open(cache.path(key)) as fh:
         data = json.load(fh)
     del data["rank_details"][3]["certified"]
@@ -227,7 +234,7 @@ def test_analyze_stores_then_hits_cache(tmp_path, monkeypatch):
     config = RunConfig(seed=0)
     first = analyze(f, config=config, cache=cache)
     assert first.thresholds.smooth
-    assert cache.load(cache_key(f, None, config)).dims == first.hilbert.dims
+    assert cache.load(cache_key(f, config)).dims == first.hilbert.dims
 
     def refuse(*args, **kwargs):
         raise AssertionError("hilbert_function called on a cache hit")
