@@ -15,11 +15,13 @@ from fractions import Fraction
 from milnor import (
     RankConfig,
     StrandMatrix,
+    canonical_spec,
     certified_rank,
     jacobian_strand_matrix,
     parse_polynomial,
     rank_exact,
 )
+from milnor.chebyshev import build
 from milnor.poly import partial_derivatives
 
 KUMMER = (
@@ -36,7 +38,9 @@ partials = partial_derivatives(f, 4)
 # k - d + 1.  The corank is dim M(f)_k.  Kummer is fixed by every
 # permutation of x0..x3, proved from the partials, so the blocks of each
 # strand come in orbits of identical copies and one block per orbit is
-# ranked.
+# ranked.  A representative that disjoint transpositions map onto itself
+# is cut into one piece per +-1 character of the group they generate
+# (blocks under SPLIT_CELLS cells are ranked whole).
 print(f"transpositions fixing the partials:"
       f" {jacobian_strand_matrix(partials, 0).symmetries}")
 for k in (4, 6, 8):
@@ -44,10 +48,22 @@ for k in (4, 6, 8):
     res = certified_rank(m, RankConfig(seed=0))
     print(f"strand k={k}: {m.num_rows} x {m.num_cols}, nnz={m.nnz},"
           f" dim M(f)_{k} = {m.num_rows - res.rank}")
-    print(f"  {len(m.blocks)} blocks in {len(m.orbits)} orbits")
+    print(f"  {len(m.blocks)} blocks in {len(m.orbits)} orbits,"
+          f" ranked as {len(m.pieces)} pieces")
     print(f"  rank {res.rank} via {res.method}, primes {res.primes}")
     print(f"  modular ranks {res.ranks}, agreement={res.agreement},"
           f" exact_verified={res.exact_verified}, certified={res.certified}")
+print()
+
+# For odd d no two blocks are alike: the CC(3,5) strand at k=13 is one
+# block, and only the characters of the transposition (x1 x2) cut it.
+cc35 = partial_derivatives(build(canonical_spec(3, 5)), 5)
+m = jacobian_strand_matrix(cc35, 13)
+res = certified_rank(m, RankConfig(seed=0))
+print(f"CC(3,5) strand k=13: {m.num_rows} x {m.num_cols},"
+      f" {len(m.blocks)} block in {len(m.orbits)} orbit, ranked as pieces"
+      f" {[(p.num_rows, p.num_cols) for p, _ in m.pieces]}")
+print(f"  rank {res.rank}, modular ranks {res.ranks}, certified={res.certified}")
 print()
 
 # The same strand over exact rationals, fraction-free elimination.  Slower,

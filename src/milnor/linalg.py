@@ -20,20 +20,29 @@ the sum of the ranks of the matrix's blocks: the connected components of
 the bipartite row-column graph of its entries, found once per matrix by an
 array union-find.  Jacobian strands of symmetric forms such as CC(n,d) fall
 apart into many such blocks.  A strand also records in `symmetries` the
-transpositions of the variables proved to permute its generators exactly;
-those map blocks onto blocks with the same entries, the same union-find
-joins such blocks into orbits, and one block per orbit is ranked and
-counted with the orbit's size.  Each ranked block gets one of two engines:
+transpositions of the variables proved to permute its generators exactly,
+and in `generator_maps` how each permutes the generators; those map blocks
+onto blocks with the same entries, the same union-find joins such blocks
+into orbits, and one block per orbit is ranked and counted with the orbit's
+size.  A representative that some of them map onto itself, of at least
+SPLIT_CELLS cells, is split further: a maximal set of disjoint such
+transpositions generates G = Z2^t, and the block is cut into one piece per
++-1 character of G, whose ranks add up to the block's over Q and mod every
+odd prime.  For odd d, where no two blocks are alike, this is the only
+symmetry that helps: CC(3,5) at k=13 is one 560x880 block, cut into
+308x470 and 252x410 pieces.  Each piece gets one of two engines:
   * dense mod-p elimination a panel of columns at a time: int64 row
     operations on the panel, then the Schur complement of the remaining
     columns in float64 BLAS matmuls of the left factor's two halves (exact
-    for p < 2^31).  A block is ranked mod a batch of primes at once: its
+    for p < 2^31).  A piece is ranked mod a batch of primes at once: its
     residues form one (rows, primes, cols) stack, and every prime is
-    eliminated with the same pivot rows.  It ranks every block of CC(4,4);
+    eliminated with the same pivot rows.  It ranks every piece of CC(4,4)
+    and CC(3,5);
   * sparse Markowitz elimination that escapes to the dense kernel when the
-    active submatrix fills in, for the large sparse blocks: of the inputs
-    surveyed, CC(3,5) at k=13 (560x880), CC(3,8) at k=25, and CC(4,5) at
-    k >= 11 and CC(4,6) at k >= 17, where it beats the dense kernel.
+    active submatrix fills in, for the large sparse pieces: of the inputs
+    surveyed, those of CC(4,5) at k >= 14 and CC(4,6) at k >= 20.  On the
+    eight pieces of CC(4,5) at k=16 it takes 0.62 s at one prime, against
+    1.01 s for the dense kernel.
 Fraction-free Bareiss elimination over the integers gives the exact,
 authoritative rank of small strands and of strands whose primes disagree.
 """
@@ -50,21 +59,24 @@ from math import lcm
 import numpy as np
 
 from .domains import draw_distinct_primes
-from .monomials import grlex_ranks, monomials_of_degree, num_monomials
+from .monomials import exponent_array, grlex_ranks, num_monomials
 
-# Engine thresholds, applied by _engine to each block: narrow or dense
-# blocks go straight to the dense kernel and the rest to Markowitz elimination.
+# Engine thresholds, applied by _engine to each piece: narrow or dense
+# pieces go straight to the dense kernel and the rest to Markowitz elimination.
 # Markowitz elimination hands its active submatrix to the dense kernel once
 # it has at most DENSE_COLS columns or a density above ESCAPE_DENSITY; the
-# dense kernel takes DENSE_PANEL columns per panel.  A dense block is
+# dense kernel takes DENSE_PANEL columns per panel.  A dense piece is
 # stacked with as many primes as keep rows x primes x cols within
-# STACK_CELLS (at least one), so large blocks keep one prime at a time and
-# their peak memory does not grow with the prime count.
+# STACK_CELLS (at least one), so large pieces keep one prime at a time and
+# their peak memory does not grow with the prime count.  An orbit
+# representative below SPLIT_CELLS cells is ranked whole: cutting it into
+# character pieces costs more than the smaller eliminations save.
 DENSE_COLS = 700
 DENSE_DENSITY = 0.02
 ESCAPE_DENSITY = 0.04
 DENSE_PANEL = 48
 STACK_CELLS = 1 << 17
+SPLIT_CELLS = 1 << 12
 
 # Certification cutoffs, applied by certified_rank: a matrix of at most
 # EXACT_VERIFY_COLS columns is always ranked exactly, and one of at most
@@ -92,8 +104,14 @@ class StrandMatrix:
     `symmetries` lists the pairs (i, j) of variables for which swapping x_i
     and x_j permutes the rows (the degree-k monomials) and the columns and
     keeps every entry; jacobian_strand_matrix proves them from the
-    generators.  Blocks exchanged by them are ranked once.  The default ()
-    claims nothing, and a matrix with symmetries needs k and n.
+    generators.  Column a * M + j multiplies generator a by the j-th of the
+    M multipliers, and the swap sigma takes it to generator
+    generator_maps[(i, j)][a] times sigma of the multiplier.  A pair with
+    no map is taken to act as on a gradient: n + 1 generators, the i-th
+    and j-th exchanged.  Blocks exchanged by the symmetries are ranked
+    once, and a block that some of them map onto itself is split by their
+    characters.  The default () claims nothing, and a matrix with
+    symmetries needs k and n.
     """
 
     num_rows: int
@@ -104,6 +122,7 @@ class StrandMatrix:
     k: int | None = None
     n: int | None = None
     symmetries: tuple[tuple[int, int], ...] = ()
+    generator_maps: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = _integer_array(self.values)
@@ -131,7 +150,7 @@ class StrandMatrix:
         """
         return self._components[0]
 
-    @property
+    @cached_property
     def orbits(self) -> list[tuple[StrandMatrix, int]]:
         """One (representative block, multiplicity) pair per symmetry orbit.
 
@@ -139,14 +158,35 @@ class StrandMatrix:
         every block of an orbit has its representative's rank mod every
         prime and over Q.  Without symmetries each block is its own orbit.
         """
-        return self._components[1]
+        blocks = self.blocks
+        return [(blocks[b], count) for b, count in self._orbit_counts]
+
+    @cached_property
+    def pieces(self) -> list[tuple[StrandMatrix, int]]:
+        """One (piece, multiplicity) pair per character piece of each orbit.
+
+        An orbit's representative is split by the group its transpositions
+        generate, when some of them map it onto itself (see _split); its
+        rank mod every odd prime and over Q is the sum of its pieces' ranks.
+        Each piece counts with the size of its orbit.
+        """
+        out = []
+        for b, count in self._orbit_counts:
+            block = self.blocks[b]
+            cut = self.symmetries and block.num_rows * block.num_cols >= SPLIT_CELLS
+            out += [(piece, count) for piece in (self._split(b) if cut else [block])]
+        return out
 
     @cached_property
     def _components(self):
+        """The blocks, the row of each block's first entry, the block of
+        each row and column node (rows first, then columns; -1 when empty),
+        and each node's place among the rows or columns of its block."""
         m, size, nnz = self.num_rows, self.num_rows + self.num_cols, self.nnz
         root = _union_find(size, self.rows, m + self.cols)
         if nnz and (root == root[0]).all():
-            return [self], [(self, 1)]
+            return [self], self.rows[:1], np.zeros(size, dtype=np.int64), np.r_[
+                np.arange(m), np.arange(self.num_cols)]
         # local[v]: the place of row or column v among the rows or columns of
         # its block, read off the nodes sorted by (root, node)
         key = np.sort(root * size + np.arange(size))
@@ -166,36 +206,57 @@ class StrandMatrix:
                                        (nodes - rows)[block_roots].tolist())]
         block_of = np.full(size, -1)
         block_of[block_roots] = np.arange(len(parts))
-        return blocks, self._orbits(blocks, block_of[root[:m]], first)
+        return blocks, first, block_of[root], local
 
-    def _orbits(self, blocks, block_of, first_rows):
-        """Group the blocks under the symmetries.
+    @cached_property
+    def _images(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The row and the column permutation of each symmetry, in order.
 
-        block_of maps each row to its block, -1 for an empty row.  A
-        symmetry maps the block holding row r onto the block holding the
+        Row nu goes to sigma nu, and column a * M + j to pi(a) * M + the
+        place of sigma of the j-th multiplier, pi from generator_maps.
+        """
+        num_vars = self.n + 1
+        swaps = np.array([_swapped(range(num_vars), i, j) for i, j in self.symmetries])
+        maps = [np.array(self.generator_maps.get(pair, swap), dtype=np.int64)
+                for pair, swap in zip(self.symmetries, swaps.tolist())]
+        per, rest = divmod(self.num_cols, len(maps[0]))
+        degree = next((e for e in range(self.k + 1) if num_monomials(num_vars, e) == per), None)
+        if rest or degree is None or not all(
+                np.array_equal(np.sort(pi), np.arange(len(maps[0]))) for pi in maps):
+            raise ValueError("symmetries need the columns to be generators times the "
+                             "multipliers of one degree, and each generator map a "
+                             "permutation of the generators")
+        rows = grlex_ranks(exponent_array(num_vars, self.k)[:, swaps]).T
+        multipliers = grlex_ranks(exponent_array(num_vars, degree)[:, swaps]).T
+        return [(row_perm, (pi[:, None] * per + mult_perm).ravel())
+                for row_perm, mult_perm, pi in zip(rows, multipliers, maps)]
+
+    @cached_property
+    def _orbit_counts(self) -> list[tuple[int, int]]:
+        """One (representative block index, multiplicity) pair per orbit.
+
+        A symmetry maps the block holding row r onto the block holding the
         swapped monomial, so the first row of each block joins the orbits.
         A joined block must match its representative in shape, nnz and
         sorted entry values, or the claimed symmetry is false: ValueError.
         """
+        blocks, first, block_of, _ = self._components
         orbit = np.arange(len(blocks))
         if self.symmetries and blocks:
-            monomials = monomials_of_degree(self.n + 1, self.k)
-            exps = np.array([monomials[r] for r in first_rows.tolist()], dtype=np.int64)
-            swaps = [_swapped(range(self.n + 1), i, j) for i, j in self.symmetries]
             # targets[b, s]: the block that symmetry s maps block b onto
-            targets = block_of[grlex_ranks(exps[:, swaps])]
+            targets = block_of[np.stack([rows[first] for rows, _ in self._images], axis=1)]
             if (targets < 0).any():
                 i, j = self.symmetries[(targets < 0).any(axis=0).argmax()]
                 raise ValueError(f"transposition {(i, j)} maps a block onto empty rows")
-            orbit = _union_find(len(blocks), np.repeat(orbit, len(swaps)),
+            orbit = _union_find(len(blocks), np.repeat(orbit, len(self.symmetries)),
                                 targets.ravel())
         reps: dict[int, list] = {}
-        for block, root in zip(blocks, orbit.tolist()):
-            rep = reps.setdefault(root, [block, 0])
+        for b, root in enumerate(orbit.tolist()):
+            rep = reps.setdefault(root, [b, 0])
             if rep[1]:
-                _check_same_entries(block, rep[0])
+                _check_same_entries(blocks[b], blocks[rep[0]])
             rep[1] += 1
-        return [(block, count) for block, count in reps.values()]
+        return [(b, count) for b, count in reps.values()]
 
     def residues(self, primes) -> np.ndarray:
         """The (rows, primes, cols) int64 stack of the matrix mod each prime."""
@@ -208,6 +269,57 @@ class StrandMatrix:
             np.add.at(out, (self.rows, slice(None), self.cols), vals)
             out %= np.array(primes, dtype=np.int64)[:, None]
         return out
+
+    def _split(self, b: int) -> list[StrandMatrix]:
+        """Block b cut into one piece per +-1 character of its symmetry group.
+
+        The group G = Z2^t is generated by a maximal set of pairwise
+        disjoint transpositions that map the block onto itself, kept
+        greedily in the order of `symmetries`; each must keep every entry,
+        and together they must act as commuting involutions, or ValueError.
+        For a character chi, the piece's rows are the row-orbit
+        representatives r0 (the least row of each G-orbit) with chi(s) = 1
+        for every s fixing r0, its columns the column orbits O with the same
+        property, and its entry at (r0, O) is the sum over c in O of
+        chi(g_c) M[r0, c], g_c carrying O's least column to c.  These are M
+        in a basis of each character's isotypic part, so the ranks of the
+        pieces add up to the rank of the block over Q and mod every odd
+        prime (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).
+        Pieces without entries are dropped.
+        """
+        blocks, first, block_of, local = self._components
+        block, m = blocks[b], self.num_rows
+        row_ids = np.flatnonzero(block_of[:m] == b)
+        col_ids = np.flatnonzero(block_of[m:] == b)
+        gens, moved = [], set()
+        for (i, j), (row_map, col_map) in zip(self.symmetries, self._images):
+            if i in moved or j in moved or block_of[row_map[first[b]]] != b:
+                continue
+            row_img, col_img = row_map[row_ids], m + col_map[col_ids]
+            if (block_of[row_img] != b).any() or (block_of[col_img] != b).any():
+                raise ValueError(f"transposition {(i, j)} maps a block partly "
+                                 f"onto another")
+            gens.append((local[row_img], local[col_img]))
+            _check_kept_entries(block, *gens[-1], (i, j))
+            moved |= {i, j}
+        if not gens:
+            return [block]
+        # rows[g], cols[g]: where group element g (bit s for generator s)
+        # sends each row and column of the block
+        size = 1 << len(gens)
+        rows = np.empty((size, block.num_rows), dtype=np.int64)
+        cols = np.empty((size, block.num_cols), dtype=np.int64)
+        rows[0], cols[0] = np.arange(block.num_rows), np.arange(block.num_cols)
+        for s, (row_perm, col_perm) in enumerate(gens):
+            rows[1 << s : 2 << s] = row_perm[rows[: 1 << s]]
+            cols[1 << s : 2 << s] = col_perm[cols[: 1 << s]]
+        # disjoint row swaps commute and square to 1; the column maps must
+        # too, or the elements are not the group Z2^t
+        for s, (_, col_perm) in enumerate(gens):
+            if not (col_perm[cols] == cols[np.arange(size) ^ (1 << s)]).all():
+                raise ValueError("the generator maps of disjoint transpositions "
+                                 "must be commuting involutions")
+        return _character_pieces(block, rows, cols)
 
 
 def _union_find(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,6 +365,74 @@ def _check_same_entries(block: StrandMatrix, rep: StrandMatrix) -> None:
     if not np.array_equal(np.sort(block.values), np.sort(rep.values)):
         raise ValueError("a block joins the orbit of one with other entry "
                          "values")
+
+
+def _summed(keys: np.ndarray, values: np.ndarray):
+    """The distinct keys in increasing order and the sum of the values at each."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    repeat = keys[1:] == keys[:-1]
+    if not repeat.any():
+        return keys, values
+    head = np.flatnonzero(~np.concatenate(([False], repeat)))
+    return keys[head], np.add.reduceat(values, head)
+
+
+def _check_kept_entries(block: StrandMatrix, row_perm, col_perm, pair) -> None:
+    """Raise unless permuting block's rows and columns keeps every entry."""
+    width = block.num_cols
+    keys, values = _summed(block.rows * width + block.cols, block.values)
+    moved = _summed(row_perm[block.rows] * width + col_perm[block.cols], block.values)
+    if not (np.array_equal(keys, moved[0]) and np.array_equal(values, moved[1])):
+        raise ValueError(f"transposition {pair} maps a block onto itself "
+                         f"but changes its entries")
+
+
+def _character_pieces(block: StrandMatrix, rows: np.ndarray,
+                      cols: np.ndarray) -> list[StrandMatrix]:
+    """The pieces of _split, given where each element g of Z2^t sends each
+    row (rows[g]) and column (cols[g]) of block."""
+    size = len(rows)
+    # sign[x, g] = chi_x(g) = (-1)^popcount(x & g): the characters by bitmask
+    parity = np.bitwise_count(np.arange(size)[:, None] & np.arange(size)) & 1
+    sign = 1 - 2 * parity.astype(np.int64)
+    kept = []
+    for images in (rows, cols):
+        # the least image of each index is its orbit's representative, and
+        # carry[i] the element sending i there (and back: each is an
+        # involution); keep[x, i] marks a representative i whose stabilizer
+        # chi_x is trivial on, and place[x, i] its place in piece x
+        least, fixes = images.min(axis=0), images == np.arange(images.shape[1])
+        keep = ~(fixes[None, :, :] & (sign < 0)[:, :, None]).any(axis=1)
+        keep &= least == np.arange(images.shape[1])
+        kept.append((least, images.argmin(axis=0), keep, np.cumsum(keep, axis=1) - 1))
+    (_, _, keep_rows, place_rows), (least, carry, keep_cols, place_cols) = kept
+    values = block.values
+    bound = 1 << (62 - size.bit_length())
+    if values.dtype != object and values.size and max(
+            int(values.max()), -int(values.min())) >= bound:
+        values = values.astype(object)  # a sum of size entries could pass int64
+    # entry e of the block lands in piece x when its row is a representative
+    # kept by x and its column's orbit is kept by x; the pieces' cells are
+    # numbered one piece after the other
+    orbits = least[block.cols]
+    x, e = np.nonzero(keep_rows[:, block.rows] & keep_cols[:, orbits])
+    widths = keep_cols.sum(axis=1)
+    heights = keep_rows.sum(axis=1)
+    start = np.concatenate(([0], np.cumsum(heights * widths)))
+    keys, sums = _summed(start[x] + place_rows[x, block.rows[e]] * widths[x]
+                         + place_cols[x, orbits[e]],
+                         sign[x, carry[block.cols[e]]] * values[e])
+    nonzero = sums != 0
+    keys, sums = keys[nonzero], sums[nonzero]
+    bounds = np.searchsorted(keys, start).tolist()
+    pieces = []
+    for x, (height, width) in enumerate(zip(heights.tolist(), widths.tolist())):
+        if bounds[x] < bounds[x + 1]:
+            cells = keys[bounds[x] : bounds[x + 1]] - start[x]
+            pieces.append(StrandMatrix(height, width, cells // width, cells % width,
+                                       sums[bounds[x] : bounds[x + 1]]))
+    return pieces
 
 
 def _exact_array(values) -> np.ndarray:
@@ -305,14 +485,11 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
         raise ValueError("all generators are zero")
     if len(degrees) > 1:
         raise ValueError(f"generators of mixed degrees {sorted(degrees)}")
-    gen_degree = degrees.pop()
-    mult_degree = k - gen_degree
-    multipliers = monomials_of_degree(num_vars, mult_degree) if mult_degree >= 0 else ()
+    mults = exponent_array(num_vars, k - degrees.pop())
     num_rows = num_monomials(num_vars, k)
-    num_cols = len(partials) * len(multipliers)
+    num_cols = len(partials) * len(mults)
     parts = []
     if num_cols:
-        mults = np.array(multipliers, dtype=np.int64)
         for i, gen in enumerate(partials):
             terms = gen.sorted_terms()
             if not terms:
@@ -321,16 +498,17 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
             # entry (j, t): multiplier j times term t, in row-major order
             parts.append((
                 grlex_ranks(mults[:, None, :] + monos[None, :, :]).ravel(),
-                np.repeat(np.arange(i * len(multipliers), (i + 1) * len(multipliers)),
-                          len(terms)),
-                np.tile(_exact_array([c for _, c in terms]), len(multipliers))))
+                np.repeat(np.arange(i * len(mults), (i + 1) * len(mults)), len(terms)),
+                np.tile(_exact_array([c for _, c in terms]), len(mults))))
     rows, cols, values = (np.concatenate(a) for a in zip(*parts)) if parts else ((),) * 3
+    maps = _variable_transpositions(partials)
     return StrandMatrix(num_rows, num_cols, rows, cols, values, k=k, n=num_vars - 1,
-                        symmetries=_variable_transpositions(partials))
+                        symmetries=tuple(maps), generator_maps=maps)
 
 
-def _variable_transpositions(partials) -> tuple[tuple[int, int], ...]:
-    """The transpositions (i, j) of the variables that permute the generators.
+def _variable_transpositions(partials) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The transpositions (i, j) of the variables that permute the generators,
+    each with its generator permutation pi.
 
     (i, j) is kept when swapping x_i and x_j maps the generator list onto
     itself as a bijection pi of exactly equal polynomials, g_a(sigma x) =
@@ -341,13 +519,13 @@ def _variable_transpositions(partials) -> tuple[tuple[int, int], ...]:
     """
     keys = [frozenset(g.terms.items()) for g in partials]
     index = {key: a for a, key in enumerate(keys)}
-    kept = []
+    kept = {}
     for i, j in combinations(range(partials[0].num_vars), 2):
-        images = {index.get(frozenset((_swapped(m, i, j), c) for m, c in key))
-                  for key in keys}
-        if None not in images and len(images) == len(keys):
-            kept.append((i, j))
-    return tuple(kept)
+        pi = tuple(index.get(frozenset((_swapped(m, i, j), c) for m, c in key))
+                   for key in keys)
+        if None not in pi and len(set(pi)) == len(keys):
+            kept[(i, j)] = pi
+    return kept
 
 
 # -- dense mod-p kernel -----------------------------------------------------------
@@ -654,8 +832,8 @@ def rank_blackbox_modp(num_rows: int, num_cols: int, rows_idx, cols_idx, vals,
 
 
 def rank_exact(matrix: StrandMatrix) -> int:
-    """Rank over the rationals: each orbit's Bareiss rank times its size."""
-    return sum(count * _rank_bareiss(block) for block, count in matrix.orbits)
+    """Rank over the rationals: each piece's Bareiss rank times its orbit's size."""
+    return sum(count * _rank_bareiss(piece) for piece, count in matrix.pieces)
 
 
 def _rank_bareiss(matrix: StrandMatrix) -> int:
@@ -766,15 +944,15 @@ def _engine(matrix: StrandMatrix) -> str:
 
 
 def ranks_mod_primes(matrix: StrandMatrix, primes) -> list[int]:
-    """Rank mod each prime, the sum over the blocks of each block's engine rank.
+    """Rank mod each prime, the sum over the pieces of each piece's engine rank.
 
-    Each symmetry orbit's representative is ranked once for all the primes
-    and counted with its multiplicity.
+    Each piece of a symmetry orbit's representative is ranked once for all
+    the primes and counted with the orbit's size.
     """
     primes = tuple(primes)
     totals = [0] * len(primes)
-    for block, count in matrix.orbits:
-        for j, rank in enumerate(_block_ranks(block, primes)):
+    for piece, count in matrix.pieces:
+        for j, rank in enumerate(_block_ranks(piece, primes)):
             totals[j] += count * rank
     return totals
 

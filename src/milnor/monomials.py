@@ -67,6 +67,16 @@ def monomial_index(num_vars: int, degree: int) -> dict[Monomial, int]:
     return {m: i for i, m in enumerate(monomials_of_degree(num_vars, degree))}
 
 
+@lru_cache(maxsize=None)
+def exponent_array(num_vars: int, degree: int) -> np.ndarray:
+    """monomials_of_degree(num_vars, degree) as a read-only int64 array,
+    one row of exponents per monomial."""
+    out = np.array(monomials_of_degree(num_vars, degree), dtype=np.int64)
+    out = out.reshape(-1, num_vars)
+    out.setflags(write=False)
+    return out
+
+
 def grlex_ranks(exps: np.ndarray) -> np.ndarray:
     """Position of each exponent row in monomials_of_degree of its degree.
 
@@ -78,11 +88,19 @@ def grlex_ranks(exps: np.ndarray) -> np.ndarray:
     """
     num_vars = exps.shape[-1]
     tails = np.cumsum(exps[..., :0:-1], axis=-1)[..., ::-1]
-    top = int(tails.max(initial=0))
+    table = _grlex_table(num_vars, int(tails.max(initial=0)))
+    return table[np.arange(num_vars - 1), tails].sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _grlex_table(num_vars: int, top: int) -> np.ndarray:
+    """The binomials of grlex_ranks, read-only: C(num_vars - i - 2 + t, t - 1)
+    at (i, t) for t = 1..top, and 0 at t = 0."""
     table = np.array([[comb(num_vars - i - 2 + t, t - 1) if t else 0
                        for t in range(top + 1)] for i in range(num_vars - 1)],
                      dtype=np.int64).reshape(num_vars - 1, top + 1)
-    return table[np.arange(num_vars - 1), tails].sum(axis=-1)
+    table.setflags(write=False)
+    return table
 
 
 def num_monomials(num_vars: int, degree: int) -> int:

@@ -568,6 +568,33 @@ def test_equal_generators_keep_no_symmetry():
         assert rank_mod_p(sm, p) == naive_rank_modp(dense, p)
 
 
+def test_generator_maps_act_on_the_columns(monkeypatch):
+    # swapping x0 and x1 fixes g and h each, so pi is the identity, not the
+    # exchange of the first two generators that a gradient would have
+    monkeypatch.setattr(linalg, "SPLIT_CELLS", 0)
+    g = parse_polynomial("x0^2 + x1^2 + x1*x2 + x0*x2", num_vars=3)
+    h = parse_polynomial("x2^2 + x0*x1", num_vars=3)
+    p = 2147483029
+    for k, want in zip(range(2, 7), (2, 6, 11, 17, 24)):
+        sm = jacobian_strand_matrix([g, h], k)
+        assert sm.symmetries == ((0, 1),) and sm.generator_maps == {(0, 1): (0, 1)}
+        assert len(sm.pieces) > len(sm.orbits) or k == 2  # k = 2: one column a block
+        assert rank_mod_p(sm, p) == rank_exact(sm) == want
+        assert sum(linalg._rank_bareiss(b) for b in sm.blocks) == want
+        # the exchange of g and h is a false claim, caught by the split
+        with pytest.raises(ValueError, match="transposition"):
+            rank_mod_p(replace(sm, generator_maps={(0, 1): (1, 0)}), p)
+    # three copies of a symmetric g: a 3-cycle of them keeps every entry,
+    # but the swap and it do not make an involution
+    sm = jacobian_strand_matrix([g] * 3, 4)
+    assert sm.symmetries == ()
+    claimed = replace(sm, symmetries=((0, 1),), generator_maps={(0, 1): (1, 2, 0)})
+    with pytest.raises(ValueError, match="commuting involutions"):
+        rank_mod_p(claimed, p)
+    assert rank_mod_p(replace(claimed, generator_maps={(0, 1): (0, 1, 2)}), p) == \
+        rank_mod_p(sm, p)
+
+
 # Kummer's symmetry with rational coefficients: 4/3 in every partial
 RATIONAL_TEXT = ("1/3*x0^4 + 1/3*x1^4 + 1/3*x2^4 + 1/3*x3^4"
                  " - 1/2*x0^2*x1^2 - 1/2*x0^2*x2^2 - 1/2*x0^2*x3^2"
@@ -601,10 +628,40 @@ def test_orbit_ranks_equal_block_sums(partials):
     assert num_orbits < num_blocks
 
 
+@pytest.mark.parametrize("n, d", [(3, 5), (2, 7)])
+def test_split_ranks_equal_block_sums_for_odd_degree(n, d, monkeypatch):
+    """For odd d no two blocks are alike, so every orbit is one block; the
+    character pieces of each block (every block split, however small) rank
+    as the whole blocks do, mod each prime and exactly."""
+    monkeypatch.setattr(linalg, "SPLIT_CELLS", 0)
+    partials = _cc_partials(n, d)
+    primes = (2147483029, 2147482801, 2147482763)
+    for k in range((d - 2) * (n + 1) + 2):  # k = 0..T+1
+        sm = jacobian_strand_matrix(partials, k)
+        blocks = sm.blocks
+        assert len(sm.orbits) == len(blocks)
+        whole = [linalg._block_ranks(b, primes) for b in blocks]
+        assert ranks_mod_primes(sm, primes) == [sum(ranks[j] for ranks in whole)
+                                                for j in range(len(primes))]
+        if sm.num_cols <= 48:
+            assert rank_exact(sm) == sum(linalg._rank_bareiss(b) for b in blocks)
+    # the largest strand, k = T+1, is cut, and its pieces share out the rows
+    # and columns of its blocks: a G-orbit of size |G|/|stabilizer| gives one
+    # row or column to each of the characters trivial on the stabilizer
+    assert len(sm.pieces) > len(blocks)
+    assert sum(p.num_rows for p, _ in sm.pieces) == sum(b.num_rows for b in blocks)
+    assert sum(p.num_cols for p, _ in sm.pieces) == sum(b.num_cols for b in blocks)
+
+
 def test_one_dense_rank_per_orbit(monkeypatch):
     sm = jacobian_strand_matrix(_cc_partials(4, 4), 11)
     assert len(sm.blocks) == 16
     assert [count for _, count in sm.orbits] == [1, 4, 6, 4, 1]
+    # each representative of at least SPLIT_CELLS cells is cut into the
+    # character pieces of the disjoint transpositions fixing it, and each
+    # piece is ranked once; the last, 35 x 75, is ranked whole
+    assert [count for _, count in sm.pieces] == [1] * 4 + [4] * 2 + [6] * 4 + [4] * 2 + [1]
+    assert [(b.num_rows, b.num_cols) for b, _ in sm.orbits][-1] == (35, 75)
     calls = []
     original = linalg.rank_dense_modp
 
@@ -617,7 +674,7 @@ def test_one_dense_rank_per_orbit(monkeypatch):
         calls.clear()
         want = sum(original(b.residues((p,))[:, 0], p) for b in sm.blocks)
         assert rank_mod_p(sm, p) == want
-        assert len(calls) == 5
+        assert len(calls) == len(sm.pieces) == 13
 
 
 def test_false_symmetry_claim_raises():
@@ -629,6 +686,18 @@ def test_false_symmetry_claim_raises():
         assert (0, 1) not in sm.symmetries
         with pytest.raises(ValueError, match=message):
             replace(sm, symmetries=((0, 1),)).orbits
+    # x1^5 breaks (1, 2) on CC(3,5); at k = 9 and 13 the strand is one block,
+    # which the claim maps onto itself, so only the split's entry check
+    # sees it (the claimed gradient map or none, which means the same)
+    partials = partial_derivatives(build(canonical_spec(3, 5))
+                                   + parse_polynomial("x1^5", num_vars=4), 5)
+    for k in (9, 13):
+        sm = jacobian_strand_matrix(partials, k)
+        assert len(sm.blocks) == 1 and sm.symmetries == ((2, 3),)
+        for maps in ({}, {(1, 2): (0, 2, 1, 3)}):
+            claimed = replace(sm, symmetries=((1, 2),), generator_maps=maps)
+            with pytest.raises(ValueError, match="changes its entries"):
+                rank_mod_p(claimed, 2147483029)
 
 
 def test_false_symmetry_claim_with_equal_shapes_raises():
