@@ -25,6 +25,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, replace
+from functools import cache
 
 from .cache import HilbertCache
 from .chebyshev import ChebyshevSpec, canonical_spec, cc_node_count, st_formula
@@ -425,7 +426,10 @@ def _polynomial_input(p: argparse.ArgumentParser,
         p.add_argument("--d", type=int, help="expected degree")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The milnor argument parser, built once per process: parse_args
+    keeps no state in it, so every main() call can share it."""
     common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="milnor",

@@ -34,10 +34,14 @@ symmetry that helps: CC(3,5) at k=13 is one 560x880 block, cut into
   * dense mod-p elimination a panel of columns at a time: int64 row
     operations on the panel, then the Schur complement of the remaining
     columns in float64 BLAS matmuls of the left factor's two halves (exact
-    for p < 2^31).  A piece is ranked mod a batch of primes at once: its
-    residues form one (rows, primes, cols) stack, and every prime is
-    eliminated with the same pivot rows.  It ranks every piece of CC(4,4)
-    and CC(3,5);
+    for p < 2^31).  The products run on one BLAS thread: they come as
+    chunks at most 64 deep from a Python loop, too shallow for a second
+    thread to help, and between them a BLAS worker thread only spins, so
+    its CPU time buys nothing.  milnor's parallelism is the --jobs process
+    pool, whose workers run the same products.  A piece is ranked mod a
+    batch of primes at once: its residues form one (rows, primes, cols)
+    stack, and every prime is eliminated with the same pivot rows.  It
+    ranks every piece of CC(4,4) and CC(3,5);
   * sparse Markowitz elimination that escapes to the dense kernel when the
     active submatrix fills in, for the large sparse pieces: of the inputs
     surveyed, those of CC(4,5) at k >= 14 and CC(4,6) at k >= 20.  On the
@@ -45,14 +49,18 @@ symmetry that helps: CC(3,5) at k=13 is one 560x880 block, cut into
     1.01 s for the dense kernel.
 Fraction-free Bareiss elimination over the integers gives the exact,
 authoritative rank of small strands and of strands whose primes disagree.
+It skips the pieces a modular rank already proves: one whose rank mod some
+prime reaches min(rows, cols) has that rank over Q.
 """
 
 from __future__ import annotations
 
+import ctypes
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import lcm
 
@@ -530,6 +538,54 @@ def _variable_transpositions(partials) -> dict[tuple[int, int], tuple[int, ...]]
 
 # -- dense mod-p kernel -----------------------------------------------------------
 
+# (get, set) thread-count symbols of the OpenBLAS builds numpy loads:
+# scipy-openblas with 64-bit integers, other 64-bit builds, the plain build
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS mapped into
+    this process, or None: no OpenBLAS is mapped (another BLAS, another
+    platform), or /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the count read on
+    entry, also when the body raises; without OpenBLAS, do nothing."""
+    blas = _openblas_threads()
+    before = blas[0]() if blas else 1
+    if before == 1:
+        yield
+        return
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](before)
+
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p for int64 inputs reduced mod p < 2^31.
@@ -540,6 +596,7 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     are exact.  The high product, reduced and shifted by 15 bits, is below
     2^46, so the low product is added to it exactly in float64 and in
     place.  With one chunk, at most one product is alive beside the result.
+    The products run on one BLAS thread (see the module docstring).
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
@@ -547,15 +604,16 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     al = (a & 0x7FFF).astype(np.float64)
     bf = b.astype(np.float64)
     out = None
-    for s in range(0, a.shape[1], 64):
-        part = (ah[:, s : s + 64] @ bf[s : s + 64]).astype(np.int64)
-        part %= p
-        part <<= 15
-        np.add(part, al[:, s : s + 64] @ bf[s : s + 64], out=part, casting="unsafe")
-        if out is not None:
-            part += out
-        part %= p
-        out = part
+    with _one_blas_thread():
+        for s in range(0, a.shape[1], 64):
+            part = (ah[:, s : s + 64] @ bf[s : s + 64]).astype(np.int64)
+            part %= p
+            part <<= 15
+            np.add(part, al[:, s : s + 64] @ bf[s : s + 64], out=part, casting="unsafe")
+            if out is not None:
+                part += out
+            part %= p
+            out = part
     if out is None:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     return out
@@ -831,9 +889,19 @@ def rank_blackbox_modp(num_rows: int, num_cols: int, rows_idx, cols_idx, vals,
 # -- exact fraction-free elimination ---------------------------------------------------
 
 
-def rank_exact(matrix: StrandMatrix) -> int:
-    """Rank over the rationals: each piece's Bareiss rank times its orbit's size."""
-    return sum(count * _rank_bareiss(piece) for piece, count in matrix.pieces)
+def rank_exact(matrix: StrandMatrix, modular: list[int] | None = None) -> int:
+    """Rank over the rationals: each piece's Bareiss rank times its orbit's size.
+
+    `modular`, when given, holds a rank mod some prime of each piece, in the
+    order of matrix.pieces.  A rank mod p never exceeds the rank over Q,
+    which never exceeds min(rows, cols), so a piece whose modular rank
+    reaches min(rows, cols) has that rank and is not eliminated.
+    """
+    if modular is None:
+        modular = [-1] * len(matrix.pieces)
+    return sum(count * (bound if bound == min(piece.num_rows, piece.num_cols)
+                        else _rank_bareiss(piece))
+               for (piece, count), bound in zip(matrix.pieces, modular, strict=True))
 
 
 def _rank_bareiss(matrix: StrandMatrix) -> int:
@@ -949,10 +1017,20 @@ def ranks_mod_primes(matrix: StrandMatrix, primes) -> list[int]:
     Each piece of a symmetry orbit's representative is ranked once for all
     the primes and counted with the orbit's size.
     """
+    return _totals(matrix, _piece_ranks(matrix, primes), len(primes))
+
+
+def _piece_ranks(matrix: StrandMatrix, primes) -> list[list[int]]:
+    """Each piece's rank mod each prime, in the order of matrix.pieces."""
     primes = tuple(primes)
-    totals = [0] * len(primes)
-    for piece, count in matrix.pieces:
-        for j, rank in enumerate(_block_ranks(piece, primes)):
+    return [_block_ranks(piece, primes) for piece, _ in matrix.pieces]
+
+
+def _totals(matrix: StrandMatrix, piece_ranks, num_primes: int) -> list[int]:
+    """The matrix's rank mod each prime: its pieces' ranks times their counts."""
+    totals = [0] * num_primes
+    for (_, count), ranks in zip(matrix.pieces, piece_ranks):
+        for j, rank in enumerate(ranks):
             totals[j] += count * rank
     return totals
 
@@ -982,11 +1060,13 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
     """Multi-prime rank with certification.
 
     Draws `primes` distinct random 31-bit primes from the stream seeded by
-    seed and salt and ranks them together with ranks_mod_primes.  A matrix
+    seed and salt and ranks every piece mod all of them, as
+    ranks_mod_primes does, keeping each piece's ranks.  A matrix
     of at most EXACT_VERIFY_COLS columns, or of at most EXACT_FALLBACK_COLS
-    when the primes disagree, is then ranked exactly by fraction-free
-    elimination, and that rank is authoritative.  Otherwise the rank is the
-    largest modular rank, certified only when every prime agrees.
+    when the primes disagree, is then ranked exactly, and that rank is
+    authoritative: rank_exact eliminates the pieces whose largest modular
+    rank does not already prove theirs.  Otherwise the rank is the largest
+    modular rank, certified only when every prime agrees.
     """
     if config is None:
         config = RankConfig()
@@ -994,11 +1074,13 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
         return RankResult(rank=0, method="sparse-elimination")
     rng = random.Random(f"{config.seed}|{salt}")
     primes = draw_distinct_primes(rng, config.primes)
-    ranks = ranks_mod_primes(matrix, primes)
+    piece_ranks = _piece_ranks(matrix, primes)
+    ranks = _totals(matrix, piece_ranks, len(primes))
     agreement = len(set(ranks)) == 1
     if matrix.num_cols <= EXACT_VERIFY_COLS or (
             not agreement and matrix.num_cols <= EXACT_FALLBACK_COLS):
-        return RankResult(rank=rank_exact(matrix), primes=primes, ranks=ranks,
+        exact = rank_exact(matrix, [max(r) for r in piece_ranks])
+        return RankResult(rank=exact, primes=primes, ranks=ranks,
                           agreement=agreement, method="dense-fraction-free",
                           exact_verified=True)
     return RankResult(rank=max(ranks), primes=primes, ranks=ranks,

@@ -291,6 +291,24 @@ def test_usage_errors_exit_one(capsys):
     assert code == 0 and "usage: milnor" in out
 
 
+def test_parser_shared_across_calls_keeps_no_flags(capsys):
+    # main() parses with one parser per process; the flags of one call must
+    # not carry over to the next
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(["analyze", KUMMER_TEXT, "--no-nodal", "--primes", "5",
+                        "--no-cache"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["defects"] is None and doc["alexander"] is None
+    code, out, _ = run(["analyze", KUMMER_TEXT, "--no-cache"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["defects"] is not None
+    assert doc["alexander"]["text"] == "(t + 1)^6"
+    drawn = [d["primes"] for d in doc["certification"]["rank_details"] if d["primes"]]
+    assert drawn and all(len(primes) == 3 for primes in drawn)
+
+
 # -- bytes pinned across refactors of the CLI -----------------------------------
 
 _DEFECTS_CC34_ORACLE = {

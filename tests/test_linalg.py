@@ -121,6 +121,68 @@ def test_matmul_modp_exact_at_chunk_edges(inner):
     assert np.array_equal(matmul_modp(a, b, p), want.astype(np.int64))
 
 
+def _openblas_or_skip():
+    blas = linalg._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS is mapped into this process")
+    return blas
+
+
+class _SeesThreads(np.ndarray):
+    """An array whose products record the BLAS thread count they run on.
+
+    matmul_modp keeps the subclass through its float64 copies of a, so
+    its products go through __matmul__ here."""
+
+    seen: list = []
+    fail = False
+
+    def __matmul__(self, other):
+        _SeesThreads.seen.append(linalg._openblas_threads()[0]())
+        if _SeesThreads.fail:
+            raise RuntimeError("product failed")
+        return np.asarray(self) @ np.asarray(other)
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_matmul_modp_runs_on_one_blas_thread(monkeypatch, fail):
+    get, put = _openblas_or_skip()
+    original = get()
+    monkeypatch.setattr(_SeesThreads, "seen", [])
+    monkeypatch.setattr(_SeesThreads, "fail", fail)
+    p = 2147483029
+    a = np.arange(6 * 130, dtype=np.int64).reshape(6, 130).view(_SeesThreads)
+    b = np.arange(130 * 4, dtype=np.int64).reshape(130, 4)
+    try:
+        put(2)  # a count above 1, to see it pinned and then restored
+        before = get()
+        if fail:
+            with pytest.raises(RuntimeError, match="product failed"):
+                matmul_modp(a, b, p)
+            assert _SeesThreads.seen == [1]
+        else:
+            got = matmul_modp(a, b, p)
+            want = (np.asarray(a).astype(object) @ b.astype(object)) % p
+            assert np.array_equal(np.asarray(got), want.astype(np.int64))
+            assert _SeesThreads.seen == [1] * 6  # two products per chunk of 64
+        assert get() == before
+    finally:
+        put(original)
+
+
+def test_openblas_lookup_without_proc_maps(monkeypatch):
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(linalg, "open", unreadable, raising=False)
+    assert linalg._openblas_threads.__wrapped__() is None
+    # with no OpenBLAS found, products run as they are and stay exact
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    p = (1 << 31) - 1
+    a = np.full((3, 70), p - 1, dtype=np.int64)
+    assert np.array_equal(matmul_modp(a, a.T.copy(), p), np.full((3, 3), 70))
+
+
 def _dense_ranks_match_naive(monkeypatch, a, p, panels=(1, 2, 5, 48)):
     """rank_dense_modp equals the naive rank for every panel width, and the
     input is left as it was."""
@@ -849,3 +911,49 @@ def test_strand_rejects_inexact_coefficients():
     f = SparsePolynomial(3, {(2, 0, 0): 1.5, (0, 2, 0): 1, (0, 0, 2): 1})
     with pytest.raises(TypeError, match="float"):
         jacobian_strand_matrix(partial_derivatives(f, 2), 1)
+
+
+def _counting_bareiss(monkeypatch):
+    """Stand in for _rank_bareiss; the returned list gets, per call,
+    whether the piece was rank deficient."""
+    original = linalg._rank_bareiss
+    deficient = []
+
+    def counting(piece):
+        rank = original(piece)
+        deficient.append(rank < min(piece.num_rows, piece.num_cols))
+        return rank
+
+    monkeypatch.setattr(linalg, "_rank_bareiss", counting)
+    return deficient
+
+
+def test_certified_rank_eliminates_only_unproved_pieces(monkeypatch):
+    # every strand k = 0..T+1 of Kummer, CC(3,4) and the nodal plane curve
+    # CC(2,5): the certified rank is the all-Bareiss rank, and Bareiss only
+    # sees pieces whose rank stays below min(rows, cols)
+    config = RankConfig(seed=0)
+    seen = []
+    for partials in (_partials(KUMMER_TEXT), _cc_partials(3, 4), _cc_partials(2, 5)):
+        n, d = partials[0].num_vars - 1, max(g.degree for g in partials) + 1
+        for k in range((n + 1) * (d - 2) + 2):
+            sm = jacobian_strand_matrix(partials, k)
+            with monkeypatch.context() as patch:
+                deficient = _counting_bareiss(patch)
+                res = certified_rank(sm, config, salt=f"k{k}")
+            assert res.rank == rank_exact(sm), (n, d, k)
+            seen += deficient
+    assert seen and all(seen)
+    # the primes disagree on a 3 x 3 block of rank 2: the first prime of the
+    # seed-0 stream makes its first two rows equal; the 1 x 1 block beside it
+    # has full rank mod every prime, so Bareiss sees only the 3 x 3 block
+    (p0,) = draw_distinct_primes(random.Random("0|"), 1)
+    sm = StrandMatrix(4, 4, [0, 0, 0, 1, 1, 2, 2, 3], [0, 1, 2, 1, 2, 1, 2, 3],
+                      [p0, 1, 1, 1, 1, 1, 1, 1])
+    monkeypatch.setattr(linalg, "EXACT_VERIFY_COLS", 0)
+    deficient = _counting_bareiss(monkeypatch)
+    res = certified_rank(sm, config)
+    assert res.ranks == [2, 3, 3] and not res.agreement
+    assert deficient == [True]
+    assert res.rank == 3 and res.certified and res.exact_verified
+    assert res.method == "dense-fraction-free"
