@@ -35,11 +35,12 @@ print()
 mat = evaluation_matrix(2, 5, 2)
 print(f"evaluation matrix in degree 2: {mat.num_rows} x {mat.num_cols}")
 
-# For even d the sign flips x_i -> -x_i permute the nodes, so the matrix
-# splits into 2^n sign-parity blocks whose ranks are proved one by one.
+# For even d the sign flips x_i -> -x_i permute the nodes, so
+# milnor.symmetry splits the matrix into one piece per character of the
+# 2^n flips, and the pieces' ranks are proved one by one.
 res = _evaluation_rank(evaluation_matrix(3, 6, 5), OracleConfig(),
                        salt="eval-3-6-5")
-print(f"CC(3,6) in degree 5: {len(res.blocks)} sign-parity blocks, "
+print(f"CC(3,6) in degree 5: {len(res.blocks)} character pieces, "
       f"rank proved with {len(res.primes)} primes")
 print()
 

@@ -80,19 +80,23 @@ def draw_distinct_primes(rng, count: int, modulus: int | None = None,
     return out
 
 
+def prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, increasing, by trial division."""
+    out, q = [], 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out + [m] if m > 1 else out
+
+
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for q in prime_factors(m):
+        result -= result // q
     return result
 
 

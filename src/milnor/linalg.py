@@ -4,11 +4,13 @@ The degree-k strand of a Jacobian ideal is the linear map
 (h_0, ..., h_n) -> sum h_i * f_i from (n+1) copies of the degree k-d+1
 graded piece into the degree-k piece.  Ranks are computed modulo several
 random 31-bit primes; ranks mod p never exceed the rational rank, so the
-maximum over primes is a certified lower bound, and agreement across
-independent primes certifies the value (falling back to exact
-fraction-free elimination on disagreement).  RankConfig holds the only
-settable values, the prime count and the seed; every cutoff is a module
-constant below.
+maximum over primes is a proved lower bound.  A matrix of at most
+EXACT_VERIFY_COLS columns is also ranked exactly, by fraction-free
+elimination.  A larger one whose primes disagree is ranked exactly up to
+EXACT_FALLBACK_COLS columns, and past that reported uncertified.  Past
+those sizes `certified` means that the primes agree, not a proof.
+RankConfig holds the only settable values, the prime count and the seed;
+every cutoff is a module constant below.
 
 A StrandMatrix holds its entries as three parallel arrays: int64 rows and
 columns, and integer values in int64 (or objects, for ints past int64),
@@ -25,12 +27,11 @@ and in `generator_maps` how each permutes the generators; those map blocks
 onto blocks with the same entries, the same union-find joins such blocks
 into orbits, and one block per orbit is ranked and counted with the orbit's
 size.  A representative that some of them map onto itself, of at least
-SPLIT_CELLS cells, is split further: a maximal set of disjoint such
-transpositions generates G = Z2^t, and the block is cut into one piece per
-+-1 character of G, whose ranks add up to the block's over Q and mod every
-odd prime.  For odd d, where no two blocks are alike, this is the only
-symmetry that helps: CC(3,5) at k=13 is one 560x880 block, cut into
-308x470 and 252x410 pieces.  Each piece gets one of two engines:
+SPLIT_CELLS cells, is cut by milnor.symmetry into one piece per +-1
+character of the group G = Z2^t that a maximal set of disjoint such
+transpositions generates.  For odd d, where no two blocks are alike, this
+is the only symmetry that helps: CC(3,5) at k=13 is one 560x880 block,
+cut into 308x470 and 252x410 pieces.  Each piece gets one of two engines:
   * dense mod-p elimination a panel of columns at a time: int64 row
     operations on the panel, then the Schur complement of the remaining
     columns in float64 BLAS matmuls of the left factor's two halves (exact
@@ -68,6 +69,7 @@ import numpy as np
 
 from .domains import draw_distinct_primes
 from .monomials import exponent_array, grlex_ranks, num_monomials
+from .symmetry import CharacterSplit, summed
 
 # Engine thresholds, applied by _engine to each piece: narrow or dense
 # pieces go straight to the dense kernel and the rest to Markowitz elimination.
@@ -118,8 +120,8 @@ class StrandMatrix:
     no map is taken to act as on a gradient: n + 1 generators, the i-th
     and j-th exchanged.  Blocks exchanged by the symmetries are ranked
     once, and a block that some of them map onto itself is split by their
-    characters.  The default () claims nothing, and a matrix with
-    symmetries needs k and n.
+    characters.  The default () claims nothing; symmetries without k and
+    n, or naming a variable outside 0..n, raise ValueError.
     """
 
     num_rows: int
@@ -142,6 +144,11 @@ class StrandMatrix:
             if index.size and (index.min() < 0 or index.max() >= bound):
                 raise ValueError(f"{name} holds an index outside 0..{bound - 1}")
             setattr(self, name, index.astype(np.int64, copy=False))
+        if self.symmetries and (self.k is None or self.n is None):
+            raise ValueError("a matrix with symmetries needs k and n")
+        for pair in self.symmetries:
+            if not all(0 <= v <= self.n for v in pair):
+                raise ValueError(f"symmetry {pair} names a variable outside 0..{self.n}")
 
     @property
     def nnz(self) -> int:
@@ -285,15 +292,8 @@ class StrandMatrix:
         disjoint transpositions that map the block onto itself, kept
         greedily in the order of `symmetries`; each must keep every entry,
         and together they must act as commuting involutions, or ValueError.
-        For a character chi, the piece's rows are the row-orbit
-        representatives r0 (the least row of each G-orbit) with chi(s) = 1
-        for every s fixing r0, its columns the column orbits O with the same
-        property, and its entry at (r0, O) is the sum over c in O of
-        chi(g_c) M[r0, c], g_c carrying O's least column to c.  These are M
-        in a basis of each character's isotypic part, so the ranks of the
-        pieces add up to the rank of the block over Q and mod every odd
-        prime (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).
-        Pieces without entries are dropped.
+        milnor.symmetry cuts the pieces, whose ranks add up to the block's
+        over Q and mod every odd prime; pieces without entries are dropped.
         """
         blocks, first, block_of, local = self._components
         block, m = blocks[b], self.num_rows
@@ -312,22 +312,10 @@ class StrandMatrix:
             moved |= {i, j}
         if not gens:
             return [block]
-        # rows[g], cols[g]: where group element g (bit s for generator s)
-        # sends each row and column of the block
-        size = 1 << len(gens)
-        rows = np.empty((size, block.num_rows), dtype=np.int64)
-        cols = np.empty((size, block.num_cols), dtype=np.int64)
-        rows[0], cols[0] = np.arange(block.num_rows), np.arange(block.num_cols)
-        for s, (row_perm, col_perm) in enumerate(gens):
-            rows[1 << s : 2 << s] = row_perm[rows[: 1 << s]]
-            cols[1 << s : 2 << s] = col_perm[cols[: 1 << s]]
-        # disjoint row swaps commute and square to 1; the column maps must
-        # too, or the elements are not the group Z2^t
-        for s, (_, col_perm) in enumerate(gens):
-            if not (col_perm[cols] == cols[np.arange(size) ^ (1 << s)]).all():
-                raise ValueError("the generator maps of disjoint transpositions "
-                                 "must be commuting involutions")
-        return _character_pieces(block, rows, cols)
+        split = CharacterSplit((block.num_rows, block.num_cols),
+                               [(rho, pi, None) for rho, pi in gens])
+        return [StrandMatrix(*piece) for piece in split.cut(block.rows, block.cols,
+                                                            block.values)]
 
 
 def _union_find(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,72 +363,14 @@ def _check_same_entries(block: StrandMatrix, rep: StrandMatrix) -> None:
                          "values")
 
 
-def _summed(keys: np.ndarray, values: np.ndarray):
-    """The distinct keys in increasing order and the sum of the values at each."""
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    repeat = keys[1:] == keys[:-1]
-    if not repeat.any():
-        return keys, values
-    head = np.flatnonzero(~np.concatenate(([False], repeat)))
-    return keys[head], np.add.reduceat(values, head)
-
-
 def _check_kept_entries(block: StrandMatrix, row_perm, col_perm, pair) -> None:
     """Raise unless permuting block's rows and columns keeps every entry."""
     width = block.num_cols
-    keys, values = _summed(block.rows * width + block.cols, block.values)
-    moved = _summed(row_perm[block.rows] * width + col_perm[block.cols], block.values)
+    keys, values = summed(block.rows * width + block.cols, block.values)
+    moved = summed(row_perm[block.rows] * width + col_perm[block.cols], block.values)
     if not (np.array_equal(keys, moved[0]) and np.array_equal(values, moved[1])):
         raise ValueError(f"transposition {pair} maps a block onto itself "
                          f"but changes its entries")
-
-
-def _character_pieces(block: StrandMatrix, rows: np.ndarray,
-                      cols: np.ndarray) -> list[StrandMatrix]:
-    """The pieces of _split, given where each element g of Z2^t sends each
-    row (rows[g]) and column (cols[g]) of block."""
-    size = len(rows)
-    # sign[x, g] = chi_x(g) = (-1)^popcount(x & g): the characters by bitmask
-    parity = np.bitwise_count(np.arange(size)[:, None] & np.arange(size)) & 1
-    sign = 1 - 2 * parity.astype(np.int64)
-    kept = []
-    for images in (rows, cols):
-        # the least image of each index is its orbit's representative, and
-        # carry[i] the element sending i there (and back: each is an
-        # involution); keep[x, i] marks a representative i whose stabilizer
-        # chi_x is trivial on, and place[x, i] its place in piece x
-        least, fixes = images.min(axis=0), images == np.arange(images.shape[1])
-        keep = ~(fixes[None, :, :] & (sign < 0)[:, :, None]).any(axis=1)
-        keep &= least == np.arange(images.shape[1])
-        kept.append((least, images.argmin(axis=0), keep, np.cumsum(keep, axis=1) - 1))
-    (_, _, keep_rows, place_rows), (least, carry, keep_cols, place_cols) = kept
-    values = block.values
-    bound = 1 << (62 - size.bit_length())
-    if values.dtype != object and values.size and max(
-            int(values.max()), -int(values.min())) >= bound:
-        values = values.astype(object)  # a sum of size entries could pass int64
-    # entry e of the block lands in piece x when its row is a representative
-    # kept by x and its column's orbit is kept by x; the pieces' cells are
-    # numbered one piece after the other
-    orbits = least[block.cols]
-    x, e = np.nonzero(keep_rows[:, block.rows] & keep_cols[:, orbits])
-    widths = keep_cols.sum(axis=1)
-    heights = keep_rows.sum(axis=1)
-    start = np.concatenate(([0], np.cumsum(heights * widths)))
-    keys, sums = _summed(start[x] + place_rows[x, block.rows[e]] * widths[x]
-                         + place_cols[x, orbits[e]],
-                         sign[x, carry[block.cols[e]]] * values[e])
-    nonzero = sums != 0
-    keys, sums = keys[nonzero], sums[nonzero]
-    bounds = np.searchsorted(keys, start).tolist()
-    pieces = []
-    for x, (height, width) in enumerate(zip(heights.tolist(), widths.tolist())):
-        if bounds[x] < bounds[x + 1]:
-            cells = keys[bounds[x] : bounds[x + 1]] - start[x]
-            pieces.append(StrandMatrix(height, width, cells // width, cells % width,
-                                       sums[bounds[x] : bounds[x + 1]]))
-    return pieces
 
 
 def _exact_array(values) -> np.ndarray:

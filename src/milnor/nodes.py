@@ -28,34 +28,12 @@ every rank returned is proved from those modular ranks alone:
   ideal of norm p, so more primes than log2(bound)/30 cannot all drop,
   and the rank is R'.
 
-Sign-parity blocks.  The flip sigma_i: j_i -> d - j_i of one critical
-index negates x_i, since cos((d-j)*pi/d) = -cos(j*pi/d).  When every
-sigma_i maps the node set N onto itself (always for even d, where
-T_d(-x) = T_d(x); never for CC(n,d) with odd d) the group G = {0,1}^n
-they generate acts on N, and the column of x^e transforms by the
-character chi_e(g) = (-1)^(g.e): x^e(g.x) = chi_e(g) x^e(x).  Over any
-field of characteristic other than 2 the functions on N split into the
-2^n isotypic parts V_s = {f : f(g.x) = (-1)^(g.s) f(x)}, and the column
-of x^e lies in V_s for s = e mod 2.  Hence
-
-- rank = sum over s of the rank of the columns with e = s (mod 2), the
-  V_s being independent;
-- an f in V_s is fixed by its values at one representative per orbit,
-  so those rows alone keep the rank of the block;
-- at a representative with j_i = d/2 (x_i = 0, so sigma_i fixes it)
-  where s_i = 1, f = -f vanishes, so that row is zero and is dropped.
-
-Block s thus has the columns e = s (mod 2) and the orbit
-representatives (each j_i <= d/2) with j_i != d/2 wherever s_i = 1.  An
-orbit whose representative has m coordinates d/2 has 2^(n-m) nodes and
-sits in exactly 2^(n-m) blocks, so the blocks hold |N| rows in all.
-The identity x^e(sigma_i x) = -x^e(x) holds exactly in Q(zeta_2d) and
-so in its image mod every p = 1 (mod 2d), so the split holds over both
-and each block's rank is proved on its own by the argument above: it is
-a submatrix of the column-scaled matrix of algebraic integers, with its
-own column degrees in the Hadamard bound.  When some flip does not map
-N onto itself the group is trivial and the one block is the whole
-matrix.
+Sign flips.  The flip j_i -> d - j_i negates x_i, since cos((d-j)*pi/d) =
+-cos(j*pi/d), so x^e(flipped x) = (-1)^e_i x^e(x), exactly in Q(zeta_2d)
+and so mod every p = 1 (mod 2d).  When every flip maps the node set onto
+itself (for CC(n,d): d even) milnor.symmetry splits the matrix by their
+characters, and each piece, a submatrix, is proved on its own as above,
+with its own column degrees in the Hadamard bound.
 
 This module never touches the Jacobian-strand route, so agreement between
 the two is a genuine end-to-end check.
@@ -63,7 +41,6 @@ the two is a genuine end-to-end check.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -71,10 +48,12 @@ from functools import cached_property
 import numpy as np
 
 from .chebyshev import ChebyshevSpec, build, canonical_spec, critical_tuples
-from .domains import CyclotomicElement, CyclotomicField, draw_distinct_primes
+from .domains import (CyclotomicElement, CyclotomicField, draw_distinct_primes,
+                      prime_factors)
 from .linalg import rank_dense_modp
 from .monomials import monomials_of_degree
 from .poly import SparsePolynomial, partial_derivatives
+from .symmetry import CharacterSplit
 
 __all__ = [
     "EvaluationMatrix",
@@ -150,7 +129,7 @@ class ModularEmbedding:
             raise ValueError(f"{p} is not 1 mod {m}")
         self.field = fld
         self.p = p
-        factors = _prime_factors(m)
+        factors = prime_factors(m)
         self.omega = next(w for w in (pow(g, (p - 1) // m, p) for g in range(2, p))
                           if all(pow(w, m // q, p) != 1 for q in factors))
         # images of the basis powers zeta^0 .. zeta^(phi-1)
@@ -168,20 +147,6 @@ class ModularEmbedding:
                     raise ValueError(f"denominator divisible by {p}")
                 total += c.numerator % p * pow(den, -1, p) % p * w
         return total % p
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 @dataclass
@@ -235,51 +200,24 @@ class EvaluationMatrix:
         return nodes, exps
 
     @cached_property
-    def representatives(self) -> list[int]:
-        """Row index of one node per orbit of the flips j_i -> d - j_i.
-
-        The representative has every j_i <= d/2.  Unless every flip maps
-        the node set onto itself, the group is trivial and every row is
-        its own representative.
-        """
-        if not self._flips_act:
-            return list(range(self.num_rows))
-        return [r for r, js in enumerate(self.node_tuples)
-                if all(2 * j <= self.d for j in js)]
-
-    @cached_property
-    def _flips_act(self) -> bool:
-        """Whether each flip j_i -> d - j_i maps the node set onto itself."""
-        d, tuples = self.d, self.node_tuples
-        nodes = set(tuples)
-        return all(js[:i] + (d - js[i],) + js[i + 1:] in nodes
-                   for js in tuples for i in range(self.n))
-
-    @cached_property
-    def parity_blocks(self) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
-        """(parity class s, row indices, column indices) of each block.
-
-        With the flips acting, s runs over {0,1}^n: the columns are the
-        monomials x^e with e = s (mod 2), the rows the orbit
-        representatives with j_i != d/2 wherever s_i = 1 (see the module
-        docstring for why the ranks add up).  Otherwise there is one
-        block, s = (), holding the whole matrix.
-        """
-        flipped = self.n if self._flips_act else 0
-        weights = 1 << np.arange(flipped)
+    def split(self) -> CharacterSplit:
+        """The character split under the flips j_i -> d - j_i: flip i
+        permutes the rows and multiplies the column of x^e by (-1)^e_i in
+        place.  Unless every flip maps the node set onto itself, found by
+        a binary search of the nodes in lex order, there are no generators,
+        and the one piece is the whole matrix."""
         nodes, exps = self._index_arrays
-        reps = np.array(self.representatives, dtype=np.intp)
-        # bit i set: coordinate i of the representative is cos(pi/2) = 0
-        zeros = (2 * nodes[reps, :flipped] == self.d) @ weights
-        parity = exps[:, :flipped] % 2 @ weights
-        blocks = []
-        for s in itertools.product((0, 1), repeat=flipped):
-            code = sum(b << i for i, b in enumerate(s))
-            blocks.append((s, reps[(zeros & code) == 0],
-                           np.flatnonzero(parity == code)))
-        if sum(len(rows) for _, rows, _ in blocks) != self.num_rows:
-            raise ArithmeticError("parity blocks do not cover the node set")
-        return blocks
+        # node (j_i) as the base-d number with digits j_i, increasing in
+        # lex order, and its image under each flip
+        weights = self.d ** np.arange(self.n)[::-1]
+        codes = nodes @ weights
+        images = codes[:, None] + (self.d - 2 * nodes) * weights
+        rows = np.minimum(np.searchsorted(codes, images), len(codes) - 1)
+        if not (codes[rows] == images).all():
+            rows = rows[:, :0]
+        signs = 1 - 2 * (exps % 2)
+        return CharacterSplit((self.num_rows, self.num_cols), [
+            (rows[:, i], np.arange(self.num_cols), signs[:, i]) for i in range(rows.shape[1])])
 
     def rows_modp(self, p: int, rows: np.ndarray | None = None,
                   cols: np.ndarray | None = None) -> np.ndarray:
@@ -349,9 +287,10 @@ class OracleConfig:
 
 @dataclass
 class BlockRank:
-    """Proved rank of one sign-parity block, with the primes it took."""
+    """Proved rank of one character piece, with the primes it took; its
+    character on the flips, 1 for -1, is its columns' exponent parity."""
 
-    parity: tuple[int, ...]
+    character: tuple[int, ...]
     shape: tuple[int, int]
     rank: int = 0
     primes: list[int] = dc_field(default_factory=list)
@@ -360,7 +299,7 @@ class BlockRank:
 
 @dataclass
 class OracleRank:
-    """Proved rank: the sum of the block ranks; primes is the shared stream."""
+    """Proved rank: the sum of the piece ranks; primes is the shared stream."""
 
     rank: int
     primes: list[int]
@@ -389,20 +328,21 @@ def _evaluation_rank(matrix: EvaluationMatrix, config: OracleConfig,
                      salt: str) -> OracleRank:
     """Rank of the evaluation matrix over Q(zeta_2d), proved mod primes.
 
-    The rank is the sum of the ranks of the parity blocks, each proved on
-    its own from one shared stream of distinct primes p = 1 (mod 2d): a
-    block is done once its best rank is min(rows, cols), or once it has
+    The rank is the sum of the ranks of the character pieces, each proved
+    on its own from one shared stream of distinct primes p = 1 (mod 2d): a
+    piece is done once its best rank is min(rows, cols), or once it has
     been ranked mod more than _bad_prime_bound(best + 1, its column
     degrees) primes, so no larger rank survives.  Each prime evaluates
-    only the rows and columns of the blocks still open, and every drawn
-    prime counts: each has an element of order 2d.
+    only the rows and columns of the pieces still open, and every drawn
+    prime counts: each has an element of order 2d.  The flips fix every
+    column, so a piece is its rows and columns of the matrix.
     """
     rng = random.Random(f"{config.seed}|{salt}")
     phi = matrix.field.phi
     degrees = [sum(exps) for exps in matrix.columns]
     records, todo = [], []
-    for parity, rows, cols in matrix.parity_blocks:
-        rec = BlockRank(parity, (len(rows), len(cols)))
+    for character, rows, cols in matrix.split.pieces:
+        rec = BlockRank(character, (len(rows), len(cols)))
         records.append(rec)
         if min(rec.shape):
             todo.append((rec, rows, cols, [degrees[c] for c in cols]))
@@ -498,7 +438,7 @@ def _vanishes_on_nodes(g: SparsePolynomial, matrix: EvaluationMatrix) -> bool:
     otherwise g is evaluated at every node.
     """
     even = all(e % 2 == 0 for mono in g.terms for e in mono)
-    rows = matrix.representatives if even else range(matrix.num_rows)
+    rows = matrix.split.row_reps if even else range(matrix.num_rows)
     cos = matrix._cosines
     one = matrix.field.scalar(1)
     return all(not g.evaluate([one, *(cos[j] for j in matrix.node_tuples[r])])

@@ -14,6 +14,7 @@ from milnor.domains import (
     draw_distinct_primes,
     euler_phi,
     is_probable_prime,
+    prime_factors,
     random_prime,
     random_prime_one_mod,
 )
@@ -57,6 +58,15 @@ def test_euler_phi():
     known = {1: 1, 2: 1, 4: 2, 6: 2, 8: 4, 10: 4, 12: 4, 16: 8, 14: 6, 30: 8}
     for m, v in known.items():
         assert euler_phi(m) == v
+
+
+def test_prime_factors_against_brute_force():
+    for m in range(1, 201):
+        want = [q for q in range(2, m + 1)
+                if m % q == 0 and all(q % r for r in range(2, q))]
+        assert prime_factors(m) == want, m
+        phi = sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
+        assert euler_phi(m) == phi, m
 
 
 def test_cyclotomic_polynomials_known():

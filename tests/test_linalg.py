@@ -564,6 +564,26 @@ def test_strand_matrix_rejects_bad_input():
     assert StrandMatrix(2, 2, np.array([1]), [1], np.array([-4])).values.dtype == np.int64
 
 
+def test_symmetries_without_k_and_n_raise():
+    # without the degree and the variable count no transposition can act,
+    # so the claim is refused when the matrix is made, not at the first rank
+    for k, n in ((None, None), (1, None), (None, 1)):
+        with pytest.raises(ValueError, match="needs k and n"):
+            StrandMatrix(2, 2, [0, 1], [0, 1], [1, 1], k=k, n=n, symmetries=((0, 1),))
+    assert StrandMatrix(2, 2, [0, 1], [0, 1], [1, 1], k=1, n=1,
+                        symmetries=((0, 1),)).symmetries == ((0, 1),)
+
+
+def test_symmetries_naming_a_missing_variable_raise():
+    for pair in ((0, 2), (-1, 1), (3, 0)):
+        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+            StrandMatrix(2, 2, [0, 1], [0, 1], [1, 1], k=1, n=1, symmetries=(pair,))
+    # replace re-checks: a claim past n is caught before any rank is taken
+    sm = jacobian_strand_matrix(_cc_partials(3, 4), 5)
+    with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+        replace(sm, symmetries=sm.symmetries + ((1, 4),))
+
+
 def test_rational_kummer_gives_kummer_report(kummer):
     # Kummer divided by 3: the same strands up to scale, so the same report
     # at seed 0 through the rational path, apart from the input itself

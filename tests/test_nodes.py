@@ -120,7 +120,7 @@ def test_evaluation_matrix_shape_and_exact_rows():
             for i in range(mat.num_rows):
                 for j in range(mat.num_cols):
                     assert emb(exact[i][j]) == int(modp[i, j]), (n, d, r, p)
-            rows, cols = mat.representatives[::2], list(range(1, mat.num_cols, 3))
+            rows, cols = mat.split.row_reps[::2], list(range(1, mat.num_cols, 3))
             sub = mat.rows_modp(p, rows, cols)
             assert (sub == modp[np.ix_(rows, cols)]).all()
 
@@ -145,24 +145,30 @@ def test_parity_blocks_partition_the_nodes():
     for n, d, k in cases:
         for r in range(n * (d - 2) + 2):
             mat = evaluation_matrix(n, d, r, k=k)
-            blocks = mat.parity_blocks
-            assert sum(len(rows) for _, rows, _ in blocks) == mat.num_rows
+            pieces = mat.split.pieces
+            assert sum(len(rows) for _, rows, _ in pieces) == mat.num_rows
             if d % 2:
                 # odd d: no flip maps the node set onto itself
-                (parity, rows, block_cols), = blocks
-                assert parity == ()
+                (character, rows, piece_cols), = pieces
+                assert character == ()
                 assert list(rows) == list(range(mat.num_rows))
-                assert list(block_cols) == list(range(mat.num_cols))
+                assert list(piece_cols) == list(range(mat.num_cols))
                 continue
-            assert len(blocks) == 2 ** n
-            cols = sorted(c for _, _, block_cols in blocks for c in block_cols)
+            assert len(pieces) == 2 ** n
+            cols = sorted(c for _, _, piece_cols in pieces for c in piece_cols)
             assert cols == list(range(mat.num_cols))
             nodes = set(mat.node_tuples)
             orbits = {tuple(min(j, d - j) for j in js) for js in nodes}
-            assert len(mat.representatives) == len(orbits)
-            for parity, rows, block_cols in blocks:
-                for c in block_cols:
-                    assert tuple(e % 2 for e in mat.columns[c]) == parity
+            reps = mat.split.row_reps
+            assert len(reps) == len(orbits)
+            assert all(all(2 * j <= d for j in mat.node_tuples[row]) for row in reps)
+            for character, rows, piece_cols in pieces:
+                # the columns of exponent parity s, and the representatives
+                # with no coordinate d/2 where s_i = 1
+                assert list(piece_cols) == [c for c, e in enumerate(mat.columns)
+                                            if tuple(v % 2 for v in e) == character]
+                assert list(rows) == [row for row in reps if not any(
+                    s and 2 * j == d for j, s in zip(mat.node_tuples[row], character))]
                 for row in rows:
                     js = mat.node_tuples[row]
                     assert all(2 * j <= d for j in js)
@@ -177,8 +183,8 @@ def test_one_block_when_a_flip_image_is_missing():
     tuples = [js for js in full.node_tuples if js != _flipped(generic, 0, d)]
     mat = EvaluationMatrix(n=n, d=d, k=full.k, r=3, node_tuples=tuples,
                            field=full.field, columns=full.columns)
-    (parity, rows, cols), = mat.parity_blocks
-    assert parity == () and len(rows) == len(tuples) == full.num_rows - 1
+    (character, rows, cols), = mat.split.pieces
+    assert character == () and len(rows) == len(tuples) == full.num_rows - 1
     assert list(cols) == list(range(mat.num_cols))
     res = _evaluation_rank(mat, OracleConfig(seed=0), salt="missing")
     block, = res.blocks
@@ -220,7 +226,7 @@ def test_witness_checked_once_per_orbit(monkeypatch):
         for g in (witness, square):
             calls.clear()
             assert _vanishes_on_nodes(g, mat) == vanishes_everywhere(g, n, d)
-            assert len(calls) <= len(mat.representatives) < mat.num_rows
+            assert len(calls) <= len(mat.split.row_reps) < mat.num_rows
         assert _vanishes_on_nodes(witness, mat)
         assert not _vanishes_on_nodes(square, mat)
     # an odd witness is checked at every node
@@ -237,7 +243,7 @@ def test_witness_checked_once_per_orbit(monkeypatch):
     one = mat.field.scalar(1)
     assert all(not evaluate(odd, [one, *(mat._cosines[j] for j in
                                         mat.node_tuples[r])])
-               for r in mat.representatives)
+               for r in mat.split.row_reps)
     assert not _vanishes_on_nodes(odd, mat)
 
 
@@ -282,8 +288,8 @@ def test_rank_deficient_matrix_proved_by_prime_count():
     assert res.rank == sum(b.rank for b in res.blocks) == 48
     assert len(res.blocks) == 8
     num_deficient = 0
-    for b, (parity, rows, cols) in zip(res.blocks, mat.parity_blocks):
-        assert b.parity == parity and b.shape == (len(rows), len(cols))
+    for b, (character, rows, cols) in zip(res.blocks, mat.split.pieces):
+        assert b.character == character and b.shape == (len(rows), len(cols))
         assert b.primes == res.primes[:len(b.primes)]
         assert b.rank == max(b.ranks)
         if b.rank == min(b.shape):
@@ -303,7 +309,7 @@ def test_single_block_prime_count_pinned():
     mat = evaluation_matrix(3, 5, 3)
     res = _evaluation_rank(mat, OracleConfig(seed=0), salt="deficient")
     block, = res.blocks
-    assert block.parity == () and block.shape == (24, 20)
+    assert block.character == () and block.shape == (24, 20)
     assert res.rank == block.rank == 19
     assert len(res.primes) == len(block.primes) == 13
     degrees = [sum(c) for c in mat.columns]
