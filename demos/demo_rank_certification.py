@@ -40,9 +40,10 @@ partials = partial_derivatives(f, 4)
 # strand come in orbits of identical copies and one block per orbit is
 # ranked.  A representative that disjoint transpositions map onto itself
 # is cut into one piece per +-1 character of the group they generate
-# (blocks under SPLIT_CELLS cells are ranked whole).
-print(f"transpositions fixing the partials:"
-      f" {jacobian_strand_matrix(partials, 0).symmetries}")
+# (blocks under SPLIT_CELLS cells are ranked whole).  Each proved
+# transposition carries the row and the column permutation it induces.
+pairs = [pair for pair, _, _ in jacobian_strand_matrix(partials, 0).symmetries]
+print(f"transpositions fixing the partials: {pairs}")
 for k in (4, 6, 8):
     m = jacobian_strand_matrix(partials, k)
     res = certified_rank(m, RankConfig(seed=0))

@@ -6,8 +6,10 @@ and seed of the RankConfig, and the linalg constants EXACT_FALLBACK_COLS
 and EXACT_VERIFY_COLS (which decide method, exact_verified and certified),
 each under its own name.  Changing any of these values gives a different
 entry.  Entries are small JSON objects, one file each; a file that does not
-hold one is corrupt.  load() skips it with a warning, so it is recomputed,
-and entries() lists it as corrupt.
+hold one whose dims and rank details are T+2 ints and records is corrupt.
+load() skips it with a warning, so it is recomputed, and entries() lists
+it as corrupt; cached_hilbert_function also skips, with a warning, an entry
+whose n and d are not its input's.
 """
 
 from __future__ import annotations
@@ -47,11 +49,16 @@ def cache_key(f: SparsePolynomial, config: RankConfig) -> str:
 
 
 def _read_entry(path: str) -> dict:
-    """The JSON object stored at path; anything else is corrupt."""
+    """The JSON object stored at path, its dims and rank details T+2 ints
+    and records; anything else is corrupt."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"entry is a JSON {type(data).__name__}")
+    dims, size = data["dims"], (data["n"] + 1) * (data["d"] - 2) + 2
+    if not (isinstance(dims, list) and all(type(v) is int for v in dims)
+            and len(dims) == len(data["rank_details"]) == size):
+        raise ValueError(f"dims and rank_details must be {size} ints and records")
     return data
 
 
@@ -75,7 +82,7 @@ class HilbertCache:
             names = [f.name for f in fields(RankResult)]
             details = [RankResult(**{name: r[name] for name in names})
                        for r in data["rank_details"]]
-            return HilbertFunction(dims=list(data["dims"]),
+            return HilbertFunction(dims=data["dims"],
                                    n=data["n"], d=data["d"],
                                    stable_value=data["stable_value"],
                                    smooth_match=data["smooth_match"],
@@ -116,7 +123,7 @@ class HilbertCache:
                 row["n"] = data.get("n")
                 row["d"] = data.get("d")
                 row["tau"] = data.get("stable_value")
-            except (OSError, ValueError):
+            except (OSError, ValueError, KeyError, TypeError):
                 row["corrupt"] = True
             out.append(row)
         return out
@@ -138,6 +145,10 @@ def cached_hilbert_function(f: SparsePolynomial, config: RankConfig,
     """hilbert_function with a read-through cache keyed on input and seed."""
     key = cache_key(f, config)
     hf = cache.load(key)
+    if hf is not None and (hf.n, hf.d) != (f.num_vars - 1, f.degree):
+        warnings.warn(f"skipping corrupt cache entry {cache.path(key)}: "
+                      f"it is for n={hf.n}, d={hf.d}")
+        hf = None
     if hf is None:
         hf = hilbert_function(f, config=config, jobs=jobs)
         cache.store(key, hf)

@@ -84,13 +84,12 @@ def smooth_hilbert(n: int, d: int) -> HilbertFunction:
 
 def hilbert_function(
     f: SparsePolynomial,
-    up_to: int | None = None,
     config: RankConfig | None = None,
     jobs: int = 1,
 ) -> HilbertFunction:
     """Certified Hilbert function of M(f) for homogeneous f with isolated singularities.
 
-    Computes dims 0..up_to (default T+1, enough for every derived invariant).
+    Computes dims 0..T+1, enough for every derived invariant.
     Raises NotNodalError when the input is neither smooth-matching nor
     stabilized at T, which is how non-isolated or badly degenerate input
     surfaces.
@@ -104,30 +103,23 @@ def hilbert_function(
         raise ValueError("degree must be at least 2")
     n = f.num_vars - 1
     T = (n + 1) * (d - 2)
-    if up_to is None:
-        up_to = T + 1
     grad = partial_derivatives(f, d)
-    ks = list(range(up_to + 1))
+    ks = list(range(T + 2))
     results = parallel_map(_strand_rank, [(grad, k, config) for k in ks], jobs)
     dims = [num_monomials(n + 1, k) - res.rank for k, res in zip(ks, results)]
     smooth = smooth_hilbert(n, d)
     smooth_match = all(dims[k] == smooth.dim(k) for k in ks)
-    stable = None
-    if smooth_match:
-        stable = 0
-    elif up_to >= T + 1:
-        if dims[T] != dims[T + 1]:
-            raise NotNodalError(
-                f"dim M(f) does not stabilize at T={T} "
-                f"({dims[T]} then {dims[T + 1]}); "
-                "input is not nodal or has non-isolated singularities"
-            )
-        stable = dims[T]
+    if not smooth_match and dims[T] != dims[T + 1]:
+        raise NotNodalError(
+            f"dim M(f) does not stabilize at T={T} "
+            f"({dims[T]} then {dims[T + 1]}); "
+            "input is not nodal or has non-isolated singularities"
+        )
     return HilbertFunction(
         dims=dims,
         n=n,
         d=d,
-        stable_value=stable,
+        stable_value=0 if smooth_match else dims[T],
         smooth_match=smooth_match,
         certified=all(res.certified for res in results),
         rank_details=list(results),

@@ -23,12 +23,13 @@ the bipartite row-column graph of its entries, found once per matrix by an
 array union-find.  Jacobian strands of symmetric forms such as CC(n,d) fall
 apart into many such blocks.  A strand also records in `symmetries` the
 transpositions of the variables proved to permute its generators exactly,
-and in `generator_maps` how each permutes the generators; those map blocks
-onto blocks with the same entries, the same union-find joins such blocks
-into orbits, and one block per orbit is ranked and counted with the orbit's
-size.  A representative that some of them map onto itself, of at least
-SPLIT_CELLS cells, is cut by milnor.symmetry into one piece per +-1
-character of the group G = Z2^t that a maximal set of disjoint such
+each with the row and the column permutation it induces, written by
+jacobian_strand_matrix, the one place that knows the strand layout; those
+map blocks onto blocks with the same entries, the same union-find joins
+such blocks into orbits, and one block per orbit is ranked and counted with
+the orbit's size.  A representative that some of them map onto itself, of
+at least SPLIT_CELLS cells, is cut by milnor.symmetry into one piece per
++-1 character of the group G = Z2^t that a maximal set of disjoint such
 transpositions generates.  For odd d, where no two blocks are alike, this
 is the only symmetry that helps: CC(3,5) at k=13 is one 560x880 block,
 cut into 308x470 and 252x410 pieces.  Each piece gets one of two engines:
@@ -101,7 +102,7 @@ EXACT_FALLBACK_COLS = 2000
 
 @dataclass(eq=False)
 class StrandMatrix:
-    """Sparse exact matrix with its graded provenance (k, n) attached.
+    """Sparse exact integer matrix with proved permutation symmetries.
 
     Entry i is values[i] at (rows[i], cols[i]); repeated positions add up.
     Indices are kept as int64 arrays, and values as int64 or, when one is
@@ -109,19 +110,15 @@ class StrandMatrix:
     times the lcm of their denominators, so every stored value is an int;
     the scaling keeps the rank over Q.  Bad input raises
     ValueError (an index out of range, arrays of unequal length) or
-    TypeError (a value that is not an int or Fraction).
+    TypeError (a value that is not an int or Fraction).  k only labels it.
 
-    `symmetries` lists the pairs (i, j) of variables for which swapping x_i
-    and x_j permutes the rows (the degree-k monomials) and the columns and
-    keeps every entry; jacobian_strand_matrix proves them from the
-    generators.  Column a * M + j multiplies generator a by the j-th of the
-    M multipliers, and the swap sigma takes it to generator
-    generator_maps[(i, j)][a] times sigma of the multiplier.  A pair with
-    no map is taken to act as on a gradient: n + 1 generators, the i-th
-    and j-th exchanged.  Blocks exchanged by the symmetries are ranked
-    once, and a block that some of them map onto itself is split by their
-    characters.  The default () claims nothing; symmetries without k and
-    n, or naming a variable outside 0..n, raise ValueError.
+    `symmetries` holds one (pair, row map, column map) per transposition
+    (i, j) of the variables proved to keep every entry, taking row r to
+    row_map[r] and column c to col_map[c]; jacobian_strand_matrix writes
+    them.  Blocks exchanged by the symmetries are ranked once, and a block
+    that some of them map onto itself is split by their characters.  The
+    default () claims nothing; a map that does not permute the rows or the
+    columns raises ValueError naming its pair.
     """
 
     num_rows: int
@@ -130,9 +127,7 @@ class StrandMatrix:
     cols: np.ndarray
     values: np.ndarray
     k: int | None = None
-    n: int | None = None
-    symmetries: tuple[tuple[int, int], ...] = ()
-    generator_maps: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    symmetries: tuple[tuple[tuple[int, int], np.ndarray, np.ndarray], ...] = ()
 
     def __post_init__(self):
         self.values = _integer_array(self.values)
@@ -144,11 +139,10 @@ class StrandMatrix:
             if index.size and (index.min() < 0 or index.max() >= bound):
                 raise ValueError(f"{name} holds an index outside 0..{bound - 1}")
             setattr(self, name, index.astype(np.int64, copy=False))
-        if self.symmetries and (self.k is None or self.n is None):
-            raise ValueError("a matrix with symmetries needs k and n")
-        for pair in self.symmetries:
-            if not all(0 <= v <= self.n for v in pair):
-                raise ValueError(f"symmetry {pair} names a variable outside 0..{self.n}")
+        self.symmetries = tuple(
+            (tuple(pair), _permutation(row_map, self.num_rows, "row", pair),
+             _permutation(col_map, self.num_cols, "column", pair))
+            for pair, row_map, col_map in self.symmetries)
 
     @property
     def nnz(self) -> int:
@@ -216,35 +210,12 @@ class StrandMatrix:
         first = self.rows[np.array([idx[0] for idx in parts], dtype=np.int64)]
         block_roots = root[first]
         blocks = [StrandMatrix(r, c, local[self.rows[idx]], local[m + self.cols[idx]],
-                               self.values[idx], k=self.k, n=self.n)
+                               self.values[idx], k=self.k)
                   for idx, r, c in zip(parts, rows[block_roots].tolist(),
                                        (nodes - rows)[block_roots].tolist())]
         block_of = np.full(size, -1)
         block_of[block_roots] = np.arange(len(parts))
         return blocks, first, block_of[root], local
-
-    @cached_property
-    def _images(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The row and the column permutation of each symmetry, in order.
-
-        Row nu goes to sigma nu, and column a * M + j to pi(a) * M + the
-        place of sigma of the j-th multiplier, pi from generator_maps.
-        """
-        num_vars = self.n + 1
-        swaps = np.array([_swapped(range(num_vars), i, j) for i, j in self.symmetries])
-        maps = [np.array(self.generator_maps.get(pair, swap), dtype=np.int64)
-                for pair, swap in zip(self.symmetries, swaps.tolist())]
-        per, rest = divmod(self.num_cols, len(maps[0]))
-        degree = next((e for e in range(self.k + 1) if num_monomials(num_vars, e) == per), None)
-        if rest or degree is None or not all(
-                np.array_equal(np.sort(pi), np.arange(len(maps[0]))) for pi in maps):
-            raise ValueError("symmetries need the columns to be generators times the "
-                             "multipliers of one degree, and each generator map a "
-                             "permutation of the generators")
-        rows = grlex_ranks(exponent_array(num_vars, self.k)[:, swaps]).T
-        multipliers = grlex_ranks(exponent_array(num_vars, degree)[:, swaps]).T
-        return [(row_perm, (pi[:, None] * per + mult_perm).ravel())
-                for row_perm, mult_perm, pi in zip(rows, multipliers, maps)]
 
     @cached_property
     def _orbit_counts(self) -> list[tuple[int, int]]:
@@ -259,10 +230,11 @@ class StrandMatrix:
         orbit = np.arange(len(blocks))
         if self.symmetries and blocks:
             # targets[b, s]: the block that symmetry s maps block b onto
-            targets = block_of[np.stack([rows[first] for rows, _ in self._images], axis=1)]
+            targets = block_of[np.stack([rows[first] for _, rows, _ in self.symmetries],
+                                        axis=1)]
             if (targets < 0).any():
-                i, j = self.symmetries[(targets < 0).any(axis=0).argmax()]
-                raise ValueError(f"transposition {(i, j)} maps a block onto empty rows")
+                pair = self.symmetries[(targets < 0).any(axis=0).argmax()][0]
+                raise ValueError(f"transposition {pair} maps a block onto empty rows")
             orbit = _union_find(len(blocks), np.repeat(orbit, len(self.symmetries)),
                                 targets.ravel())
         reps: dict[int, list] = {}
@@ -300,7 +272,7 @@ class StrandMatrix:
         row_ids = np.flatnonzero(block_of[:m] == b)
         col_ids = np.flatnonzero(block_of[m:] == b)
         gens, moved = [], set()
-        for (i, j), (row_map, col_map) in zip(self.symmetries, self._images):
+        for (i, j), row_map, col_map in self.symmetries:
             if i in moved or j in moved or block_of[row_map[first[b]]] != b:
                 continue
             row_img, col_img = row_map[row_ids], m + col_map[col_ids]
@@ -339,6 +311,14 @@ def _union_find(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         parent[key[head] // size] = key[head] % size
         while (parent[parent] != parent).any():
             parent = parent[parent]
+
+
+def _permutation(perm, size: int, name: str, pair) -> np.ndarray:
+    """perm as int64; ValueError naming pair unless it permutes 0..size-1."""
+    if not np.array_equal(np.sort(perm), np.arange(size)):
+        raise ValueError(f"the {name} map of transposition {pair} is not a "
+                         f"permutation of 0..{size - 1}")
+    return np.asarray(perm, dtype=np.int64)
 
 
 def _swapped(mono, i: int, j: int) -> tuple:
@@ -413,7 +393,8 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
     multiplies generator i by the j-th degree k-d+1 monomial.  Coefficients
     must be ints or Fractions; anything else raises TypeError here rather
     than inside a later prime loop.  They pass through unscaled: the
-    StrandMatrix clears their denominators.
+    StrandMatrix clears their denominators.  Its symmetries are the
+    transpositions that permute the generators, mapped in this layout.
     """
     if not partials:
         raise ValueError("no generators")
@@ -439,9 +420,24 @@ def jacobian_strand_matrix(partials, k: int) -> StrandMatrix:
                 np.repeat(np.arange(i * len(mults), (i + 1) * len(mults)), len(terms)),
                 np.tile(_exact_array([c for _, c in terms]), len(mults))))
     rows, cols, values = (np.concatenate(a) for a in zip(*parts)) if parts else ((),) * 3
-    maps = _variable_transpositions(partials)
-    return StrandMatrix(num_rows, num_cols, rows, cols, values, k=k, n=num_vars - 1,
-                        symmetries=tuple(maps), generator_maps=maps)
+    symmetries = _transposition_maps(num_vars, k, mults, _variable_transpositions(partials))
+    return StrandMatrix(num_rows, num_cols, rows, cols, values, k=k, symmetries=symmetries)
+
+
+def _transposition_maps(num_vars: int, k: int, mults: np.ndarray, generator_maps) -> tuple:
+    """(pair, row map, column map) of each (pair, pi) in generator_maps.
+
+    Swapping x_i and x_j (sigma) takes row nu to sigma nu, and column
+    a * M + j, generator a times the j-th of the M multipliers, to
+    pi(a) * M + the place of sigma of that multiplier.
+    """
+    if not generator_maps:
+        return ()
+    swaps = np.array([_swapped(range(num_vars), i, j) for i, j in generator_maps])
+    rows = grlex_ranks(exponent_array(num_vars, k)[:, swaps]).T
+    moved = grlex_ranks(mults[:, swaps]).T
+    return tuple((pair, row_map, (np.array(pi)[:, None] * len(mults) + mult_map).ravel())
+                 for (pair, pi), row_map, mult_map in zip(generator_maps.items(), rows, moved))
 
 
 def _variable_transpositions(partials) -> dict[tuple[int, int], tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """Hilbert functions of Milnor algebras, thresholds, Koszul dimensions."""
 
 import random
+from dataclasses import replace
 from math import comb, gcd
 
 import pytest
@@ -132,9 +133,11 @@ def test_dim_extension_beyond_computed_range():
     assert sm.dim(40) == 0
     # negative degrees are zero by convention, used by the Koszul shift
     assert hf.dim(-1) == 0
-    short = hilbert_function(parse_polynomial(KUMMER, num_vars=4), up_to=5,
-                             config=RankConfig(seed=0))
-    with pytest.raises(ValueError):
+    # a record through degree 5 only, which still matches the smooth
+    # reference, says nothing past its range
+    short = replace(hf, dims=hf.dims[:6], stable_value=0, smooth_match=True,
+                    rank_details=hf.rank_details[:6])
+    with pytest.raises(ValueError, match="beyond computed range 5"):
         short.dim(11)
 
 
@@ -154,11 +157,16 @@ def test_determinism_and_seed_sensitivity():
 
 def test_threshold_input_validation():
     f = parse_polynomial(KUMMER, num_vars=4)
-    hf = hilbert_function(f, up_to=9, config=RankConfig(seed=0))
+    hf = hilbert_function(f, config=RankConfig(seed=0))
+    assert hf.k_max == 9  # T + 1
     with pytest.raises(ValueError):
         thresholds(hf, smooth_hilbert(2, 4), 4)
-    short = hilbert_function(f, up_to=6, config=RankConfig(seed=0))
+    # a record through degree 6 has left the smooth reference but has not
+    # reached T + 1, so it is not known to stabilize
+    short = HilbertFunction(dims=hf.dims[:7], n=3, d=4)
     assert short.dims == [1, 4, 10, 16, 19, 16, 16]
+    with pytest.raises(ValueError, match=r"through T\+1"):
+        thresholds(short, smooth_hilbert(3, 4), 4)
 
 
 def test_inhomogeneous_and_low_degree_rejected():

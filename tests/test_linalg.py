@@ -28,9 +28,10 @@ from milnor.linalg import (
     rank_sparse_modp,
     ranks_mod_primes,
 )
-from milnor.monomials import grlex_ranks, monomial_index, monomials_of_degree
+from milnor.monomials import exponent_array, grlex_ranks, monomial_index, monomials_of_degree
 from milnor.poly import SparsePolynomial, parse_polynomial, partial_derivatives
 from milnor.report import RunConfig, analyze
+from milnor.symmetry import summed
 
 
 def naive_rank_modp(a, p):
@@ -564,24 +565,24 @@ def test_strand_matrix_rejects_bad_input():
     assert StrandMatrix(2, 2, np.array([1]), [1], np.array([-4])).values.dtype == np.int64
 
 
-def test_symmetries_without_k_and_n_raise():
-    # without the degree and the variable count no transposition can act,
-    # so the claim is refused when the matrix is made, not at the first rank
-    for k, n in ((None, None), (1, None), (None, 1)):
-        with pytest.raises(ValueError, match="needs k and n"):
-            StrandMatrix(2, 2, [0, 1], [0, 1], [1, 1], k=k, n=n, symmetries=((0, 1),))
-    assert StrandMatrix(2, 2, [0, 1], [0, 1], [1, 1], k=1, n=1,
-                        symmetries=((0, 1),)).symmetries == ((0, 1),)
-
-
-def test_symmetries_naming_a_missing_variable_raise():
-    for pair in ((0, 2), (-1, 1), (3, 0)):
-        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
-            StrandMatrix(2, 2, [0, 1], [0, 1], [1, 1], k=1, n=1, symmetries=(pair,))
-    # replace re-checks: a claim past n is caught before any rank is taken
+def test_symmetry_maps_must_be_permutations():
+    # a map of the wrong length, with a repeated index or with an index out
+    # of range is refused when the matrix is made, naming its pair
+    swap = [1, 0]
+    for bad in ([0], [0, 1, 2], [0, 0], [1, 2], [-1, 0]):
+        for maps, name in (((bad, swap), "row"), ((swap, bad), "column")):
+            with pytest.raises(ValueError, match=rf"{name} map of transposition \(0, 1\)"):
+                StrandMatrix(2, 2, [0, 1], [1, 0], [1, 1], symmetries=(((0, 1), *maps),))
+    sm = StrandMatrix(2, 2, [0, 1], [1, 0], [1, 1], symmetries=(((0, 1), swap, swap),))
+    assert _pairs(sm) == ((0, 1),)
+    assert all(m.dtype == np.int64 and m.tolist() == swap for _, *maps in sm.symmetries
+               for m in maps)
+    # replace re-checks: a column map of the wrong strand is caught before
+    # any rank is taken
     sm = jacobian_strand_matrix(_cc_partials(3, 4), 5)
-    with pytest.raises(ValueError, match=r"outside 0\.\.3"):
-        replace(sm, symmetries=sm.symmetries + ((1, 4),))
+    _, row_map, col_map = sm.symmetries[0]
+    with pytest.raises(ValueError, match=r"column map of transposition \(1, 4\)"):
+        replace(sm, symmetries=sm.symmetries + (((1, 4), row_map, col_map[:-1]),))
 
 
 def test_rational_kummer_gives_kummer_report(kummer):
@@ -617,27 +618,52 @@ def _cc_partials(n, d):
     return partial_derivatives(build(canonical_spec(n, d)), d)
 
 
+def _g_h():
+    """Two generators that swapping x0 and x1 fixes each: not a gradient."""
+    return [parse_polynomial("x0^2 + x1^2 + x1*x2 + x0*x2", num_vars=3),
+            parse_polynomial("x2^2 + x0*x1", num_vars=3)]
+
+
+def _pairs(sm):
+    """The variable pairs of sm's symmetries, in order."""
+    return tuple(pair for pair, _, _ in sm.symmetries)
+
+
+def _gradient(num_vars, *pairs):
+    """{pair: pi} with pi exchanging the pair's partials, as on a gradient."""
+    return {(i, j): linalg._swapped(range(num_vars), i, j) for i, j in pairs}
+
+
+def _claimed(sm, partials, generator_maps):
+    """sm claiming exactly the transpositions of generator_maps, {pair: pi},
+    mapped as jacobian_strand_matrix maps the ones it proves."""
+    num_vars = partials[0].num_vars
+    mults = exponent_array(num_vars, sm.k - max(g.degree for g in partials))
+    return replace(sm, symmetries=linalg._transposition_maps(num_vars, sm.k, mults,
+                                                             generator_maps))
+
+
 def test_symmetries_proved_from_the_generators():
     cc34 = build(canonical_spec(3, 4))
-    assert jacobian_strand_matrix(partial_derivatives(cc34, 4), 5).symmetries == (
+    assert _pairs(jacobian_strand_matrix(partial_derivatives(cc34, 4), 5)) == (
         (1, 2), (1, 3), (2, 3))
     kummer = jacobian_strand_matrix(_partials(KUMMER_TEXT), 5)
-    assert set(kummer.symmetries) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
+    assert set(_pairs(kummer)) == {(i, j) for i in range(4) for j in range(i + 1, 4)}
     # x1^4 breaks every transposition that moves x1
     broken = cc34 + parse_polynomial("x1^4", num_vars=4)
-    assert jacobian_strand_matrix(partial_derivatives(broken, 4), 5).symmetries == (
-        (2, 3),)
+    assert _pairs(jacobian_strand_matrix(partial_derivatives(broken, 4), 5)) == ((2, 3),)
     # the proof holds in every degree, even with no column at all
-    assert jacobian_strand_matrix(partial_derivatives(cc34, 4), 1).symmetries == (
-        (1, 2), (1, 3), (2, 3))
+    sm = jacobian_strand_matrix(partial_derivatives(cc34, 4), 1)
+    assert _pairs(sm) == ((1, 2), (1, 3), (2, 3)) and sm.num_cols == 0
+    assert all(len(row_map) == 4 and len(col_map) == 0
+               for _, row_map, col_map in sm.symmetries)
 
 
 def test_equal_generators_keep_no_symmetry():
     # swapping x0 and x1 fixes g and h, but with g listed twice pi cannot
     # be injective
-    g = parse_polynomial("x0^2 + x1^2 + x1*x2 + x0*x2", num_vars=3)
-    h = parse_polynomial("x2^2 + x0*x1", num_vars=3)
-    assert jacobian_strand_matrix([g, h], 3).symmetries == ((0, 1),)
+    g, h = _g_h()
+    assert _pairs(jacobian_strand_matrix([g, h], 3)) == ((0, 1),)
     partials = [g, g, h]
     p = 2147483029
     for k in range(2, 6):
@@ -654,27 +680,48 @@ def test_generator_maps_act_on_the_columns(monkeypatch):
     # swapping x0 and x1 fixes g and h each, so pi is the identity, not the
     # exchange of the first two generators that a gradient would have
     monkeypatch.setattr(linalg, "SPLIT_CELLS", 0)
-    g = parse_polynomial("x0^2 + x1^2 + x1*x2 + x0*x2", num_vars=3)
-    h = parse_polynomial("x2^2 + x0*x1", num_vars=3)
+    g, h = _g_h()
     p = 2147483029
     for k, want in zip(range(2, 7), (2, 6, 11, 17, 24)):
         sm = jacobian_strand_matrix([g, h], k)
-        assert sm.symmetries == ((0, 1),) and sm.generator_maps == {(0, 1): (0, 1)}
+        (pair, _, col_map), = sm.symmetries
+        per = sm.num_cols // 2  # the columns of g, then those of h
+        assert pair == (0, 1) and (col_map // per == np.arange(sm.num_cols) // per).all()
         assert len(sm.pieces) > len(sm.orbits) or k == 2  # k = 2: one column a block
         assert rank_mod_p(sm, p) == rank_exact(sm) == want
         assert sum(linalg._rank_bareiss(b) for b in sm.blocks) == want
         # the exchange of g and h is a false claim, caught by the split
         with pytest.raises(ValueError, match="transposition"):
-            rank_mod_p(replace(sm, generator_maps={(0, 1): (1, 0)}), p)
+            rank_mod_p(_claimed(sm, [g, h], {(0, 1): (1, 0)}), p)
     # three copies of a symmetric g: a 3-cycle of them keeps every entry,
     # but the swap and it do not make an involution
     sm = jacobian_strand_matrix([g] * 3, 4)
     assert sm.symmetries == ()
-    claimed = replace(sm, symmetries=((0, 1),), generator_maps={(0, 1): (1, 2, 0)})
     with pytest.raises(ValueError, match="commuting involutions"):
-        rank_mod_p(claimed, p)
-    assert rank_mod_p(replace(claimed, generator_maps={(0, 1): (0, 1, 2)}), p) == \
-        rank_mod_p(sm, p)
+        rank_mod_p(_claimed(sm, [g] * 3, {(0, 1): (1, 2, 0)}), p)
+    assert rank_mod_p(_claimed(sm, [g] * 3, {(0, 1): (0, 1, 2)}), p) == rank_mod_p(sm, p)
+
+
+@pytest.mark.parametrize("partials", [
+    pytest.param(lambda: _cc_partials(4, 4), id="CC(4,4)"),
+    pytest.param(lambda: _cc_partials(3, 5), id="CC(3,5)"),
+    pytest.param(lambda: _partials(KUMMER_TEXT), id="kummer"),
+    pytest.param(_g_h, id="g,h"),
+])
+def test_proved_maps_keep_every_entry_of_the_strand(partials):
+    """Every (pair, row map, column map) that jacobian_strand_matrix proves
+    keeps every entry of the whole strand, in every degree 0..T+1, whatever
+    its blocks and however it would be split."""
+    partials = partials()
+    num_vars, d = partials[0].num_vars, partials[0].degree + 1
+    for k in range((d - 2) * num_vars + 2):  # k = 0..T+1
+        sm = jacobian_strand_matrix(partials, k)
+        assert sm.symmetries
+        keys, values = summed(sm.rows * sm.num_cols + sm.cols, sm.values)
+        for pair, row_map, col_map in sm.symmetries:
+            moved = summed(row_map[sm.rows] * sm.num_cols + col_map[sm.cols], sm.values)
+            assert np.array_equal(keys, moved[0]), (k, pair)
+            assert np.array_equal(values, moved[1]), (k, pair)
 
 
 # Kummer's symmetry with rational coefficients: 4/3 in every partial
@@ -765,32 +812,31 @@ def test_false_symmetry_claim_raises():
     partials = _partials(FERMAT_TEXT + " + x0^3*x1")
     for k, message in ((5, "empty rows"), (8, "shape")):
         sm = jacobian_strand_matrix(partials, k)
-        assert (0, 1) not in sm.symmetries
+        assert (0, 1) not in _pairs(sm)
         with pytest.raises(ValueError, match=message):
-            replace(sm, symmetries=((0, 1),)).orbits
+            _claimed(sm, partials, _gradient(4, (0, 1))).orbits
     # x1^5 breaks (1, 2) on CC(3,5); at k = 9 and 13 the strand is one block,
     # which the claim maps onto itself, so only the split's entry check
-    # sees it (the claimed gradient map or none, which means the same)
+    # sees it
     partials = partial_derivatives(build(canonical_spec(3, 5))
                                    + parse_polynomial("x1^5", num_vars=4), 5)
     for k in (9, 13):
         sm = jacobian_strand_matrix(partials, k)
-        assert len(sm.blocks) == 1 and sm.symmetries == ((2, 3),)
-        for maps in ({}, {(1, 2): (0, 2, 1, 3)}):
-            claimed = replace(sm, symmetries=((1, 2),), generator_maps=maps)
-            with pytest.raises(ValueError, match="changes its entries"):
-                rank_mod_p(claimed, 2147483029)
+        assert len(sm.blocks) == 1 and _pairs(sm) == ((2, 3),)
+        with pytest.raises(ValueError, match="changes its entries"):
+            rank_mod_p(_claimed(sm, partials, _gradient(4, (1, 2))), 2147483029)
 
 
 def test_false_symmetry_claim_with_equal_shapes_raises():
     # x1^4 breaks every transposition moving x1; claimed anyway at k = 7
     # the joined blocks agree in shape and nnz but not in their entries,
     # and would rank 116 instead of 115
-    broken = build(canonical_spec(3, 4)) + parse_polynomial("x1^4", num_vars=4)
-    sm = jacobian_strand_matrix(partial_derivatives(broken, 4), 7)
-    assert sm.symmetries == ((2, 3),)
+    partials = partial_derivatives(build(canonical_spec(3, 4))
+                                   + parse_polynomial("x1^4", num_vars=4), 4)
+    sm = jacobian_strand_matrix(partials, 7)
+    assert _pairs(sm) == ((2, 3),)
     assert rank_mod_p(sm, 2147483029) == 115
-    claimed = replace(sm, symmetries=((1, 2), (1, 3), (2, 3)))
+    claimed = _claimed(sm, partials, _gradient(4, (1, 2), (1, 3), (2, 3)))
     with pytest.raises(ValueError, match="entry values"):
         rank_mod_p(claimed, 2147483029)
 

@@ -11,6 +11,7 @@ from milnor import cache as cache_module
 from milnor.cache import (HilbertCache, cache_key, cached_hilbert_function,
                           default_cache_dir)
 from milnor.chebyshev import canonical_spec
+from milnor.hilbert import hilbert_function
 from milnor.linalg import RankConfig
 from milnor.poly import parse_polynomial
 from milnor.report import (HypersurfaceReport, ReportLintError, RunConfig,
@@ -196,6 +197,48 @@ def test_cache_entry_missing_field_skipped(tmp_path):
         json.dump(data, fh)
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         assert cache.load(key) is None
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda data: data.update(dims=data["dims"][:-1]), id="dims-truncated"),
+    pytest.param(lambda data: data.update(dims="abc"), id="dims-string"),
+    pytest.param(lambda data: data["dims"].__setitem__(2, 1.5), id="dims-float"),
+    pytest.param(lambda data: data.update(rank_details=data["rank_details"][:-1]),
+                 id="rank-details-truncated"),
+])
+def test_cache_entry_of_wrong_length_is_recomputed(tmp_path, edit):
+    # the entry still parses, but its dims do not run through T+1, so
+    # thresholds would refuse it on every later run
+    f = parse_polynomial("x0^3 + x1^3 + x2^3", num_vars=3)
+    cache = HilbertCache(str(tmp_path))
+    cfg = RankConfig(seed=0)
+    want = hilbert_function(f, config=cfg)
+    assert cached_hilbert_function(f, cfg, cache) == want
+    key = cache_key(f, cfg)
+    with open(cache.path(key)) as fh:
+        data = json.load(fh)
+    edit(data)
+    with open(cache.path(key), "w") as fh:
+        json.dump(data, fh)
+    assert cache.entries()[0]["corrupt"]
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert cached_hilbert_function(f, cfg, cache) == want
+    assert cache.load(key) == want  # rewritten cleanly
+    assert "corrupt" not in cache.entries()[0]
+
+
+@pytest.mark.parametrize("other", ["x0^4 + x1^4 + x2^4", "x0^3 + x1^3 + x2^3 + x3^3"])
+def test_cache_entry_for_another_n_or_d_is_recomputed(tmp_path, other):
+    # a well-formed entry of another polynomial under this input's key
+    f = parse_polynomial("x0^3 + x1^3 + x2^3", num_vars=3)
+    cache = HilbertCache(str(tmp_path))
+    cfg = RankConfig(seed=0)
+    key = cache_key(f, cfg)
+    cache.store(key, hilbert_function(parse_polynomial(other), config=cfg))
+    want = hilbert_function(f, config=cfg)
+    with pytest.warns(UserWarning, match="corrupt cache entry.*n=.*d="):
+        assert cached_hilbert_function(f, cfg, cache) == want
+    assert cache.load(key) == want
 
 
 @pytest.mark.parametrize("blob", ["[]", "3", "null"])
