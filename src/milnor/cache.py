@@ -5,11 +5,11 @@ value that decides the stored ranks or their certificate: the prime count
 and seed of the RankConfig, and the linalg constants EXACT_FALLBACK_COLS
 and EXACT_VERIFY_COLS (which decide method, exact_verified and certified),
 each under its own name.  Changing any of these values gives a different
-entry.  Entries are small JSON objects, one file each; a file that does not
-hold one whose dims and rank details are T+2 ints and records is corrupt.
-load() skips it with a warning, so it is recomputed, and entries() lists
-it as corrupt; cached_hilbert_function also skips, with a warning, an entry
-whose n and d are not its input's.
+entry.  Entries are small JSON objects, one file each.  A file is corrupt
+unless its dims and rank details are T+2 ints and records, and its ranks
+give its dims and every derived value it stores.  load() skips it, or an
+entry for another n and d, with a warning, so it is recomputed; entries()
+lists it as corrupt.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import asdict, fields
 from typing import Optional
 
 from .hilbert import HilbertFunction, hilbert_function
@@ -48,9 +47,9 @@ def cache_key(f: SparsePolynomial, config: RankConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _read_entry(path: str) -> dict:
-    """The JSON object stored at path, its dims and rank details T+2 ints
-    and records; anything else is corrupt."""
+def _read_entry(path: str) -> HilbertFunction:
+    """The record at path, rebuilt from its ranks, which must give its dims
+    and every value stored beside them; anything else is corrupt."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -59,7 +58,20 @@ def _read_entry(path: str) -> dict:
     if not (isinstance(dims, list) and all(type(v) is int for v in dims)
             and len(dims) == len(data["rank_details"]) == size):
         raise ValueError(f"dims and rank_details must be {size} ints and records")
-    return data
+    details = [RankResult(rank=r["rank"], primes=r["primes"], ranks=r["ranks"],
+                          method=r["method"]) for r in data["rank_details"]]
+    hf = HilbertFunction.from_ranks(data["n"], data["d"], details)
+    if _entry(hf) != data:
+        raise ValueError("stored values are not the ones its ranks give")
+    return hf
+
+
+def _entry(hf: HilbertFunction) -> dict:
+    """The JSON object stored for hf; json.dump keeps its key order."""
+    return {"schema": ENTRY_SCHEMA, "n": hf.n, "d": hf.d, "dims": list(hf.dims),
+            "stable_value": hf.stable_value, "smooth_match": hf.smooth_match,
+            "certified": hf.certified,
+            "rank_details": [r.to_dict() for r in hf.rank_details]}
 
 
 class HilbertCache:
@@ -69,44 +81,25 @@ class HilbertCache:
     def path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".json")
 
-    def load(self, key: str) -> Optional[HilbertFunction]:
+    def load(self, key: str, n: int, d: int) -> Optional[HilbertFunction]:
+        """The entry under key, if there is one for this n and d."""
         path = self.path(key)
         if not os.path.exists(path):
             return None
         try:
-            data = _read_entry(path)
-            if data["schema"] != ENTRY_SCHEMA:
-                raise ValueError(f"schema {data['schema']}")
-            # every field is required: a missing "certified" must not
-            # fall back to its default of True
-            names = [f.name for f in fields(RankResult)]
-            details = [RankResult(**{name: r[name] for name in names})
-                       for r in data["rank_details"]]
-            return HilbertFunction(dims=data["dims"],
-                                   n=data["n"], d=data["d"],
-                                   stable_value=data["stable_value"],
-                                   smooth_match=data["smooth_match"],
-                                   certified=data["certified"],
-                                   rank_details=details)
+            hf = _read_entry(path)
+            if (hf.n, hf.d) != (n, d):
+                raise ValueError(f"it is for n={hf.n}, d={hf.d}")
+            return hf
         except (OSError, ValueError, KeyError, TypeError) as exc:
             warnings.warn(f"skipping corrupt cache entry {path}: {exc}")
             return None
 
     def store(self, key: str, hf: HilbertFunction) -> None:
         os.makedirs(self.directory, exist_ok=True)
-        data = {
-            "schema": ENTRY_SCHEMA,
-            "n": hf.n,
-            "d": hf.d,
-            "dims": list(hf.dims),
-            "stable_value": hf.stable_value,
-            "smooth_match": hf.smooth_match,
-            "certified": hf.certified,
-            "rank_details": [asdict(r) for r in hf.rank_details],
-        }
         tmp = self.path(key) + ".tmp"
         with open(tmp, "w") as fh:
-            json.dump(data, fh)
+            json.dump(_entry(hf), fh)
         os.replace(tmp, self.path(key))
 
     def entries(self) -> list[dict]:
@@ -119,10 +112,8 @@ class HilbertCache:
             path = os.path.join(self.directory, name)
             row = {"key": name[:-5], "size": os.path.getsize(path)}
             try:
-                data = _read_entry(path)
-                row["n"] = data.get("n")
-                row["d"] = data.get("d")
-                row["tau"] = data.get("stable_value")
+                hf = _read_entry(path)
+                row.update(n=hf.n, d=hf.d, tau=hf.stable_value)
             except (OSError, ValueError, KeyError, TypeError):
                 row["corrupt"] = True
             out.append(row)
@@ -144,11 +135,7 @@ def cached_hilbert_function(f: SparsePolynomial, config: RankConfig,
                             jobs: int = 1) -> HilbertFunction:
     """hilbert_function with a read-through cache keyed on input and seed."""
     key = cache_key(f, config)
-    hf = cache.load(key)
-    if hf is not None and (hf.n, hf.d) != (f.num_vars - 1, f.degree):
-        warnings.warn(f"skipping corrupt cache entry {cache.path(key)}: "
-                      f"it is for n={hf.n}, d={hf.d}")
-        hf = None
+    hf = cache.load(key, f.num_vars - 1, f.degree)
     if hf is None:
         hf = hilbert_function(f, config=config, jobs=jobs)
         cache.store(key, hf)

@@ -10,13 +10,16 @@ For smooth f the Hilbert function is the closed form with generating series
 T = (n+1)(d-2).  For nodal f the dimensions agree with the smooth reference
 in low degrees (up to the coincidence threshold ct), and stabilize at the
 global Tjurina number tau = |nodes| in high degrees (from the stability
-threshold st on).
+threshold st on).  A HilbertFunction keeps its dims and strand ranks;
+smooth_match, stable_value and certified are read off them, and so is the
+excess over the smooth reference that thresholds and koszul_hn_dim use.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 
 from .linalg import RankConfig, RankResult, certified_rank, jacobian_strand_matrix
 from .monomials import num_monomials
@@ -29,15 +32,18 @@ class NotNodalError(ValueError):
 
 @dataclass
 class HilbertFunction:
-    """dims[k] = dim M(f)_k for 0 <= k <= k_max, plus stabilization data."""
+    """dims[k] = dim M(f)_k for 0 <= k <= k_max, and the strand ranks behind them."""
 
     dims: list[int]
     n: int
     d: int
-    stable_value: int | None = None  # tau once stabilized; 0 for smooth input
-    smooth_match: bool = False       # equals the smooth reference on 0..k_max
-    certified: bool = True
     rank_details: list[RankResult] = field(default_factory=list, repr=False)
+
+    @classmethod
+    def from_ranks(cls, n: int, d: int, ranks: list[RankResult]) -> HilbertFunction:
+        """dims[k] = dim S_k - the rank of strand k, for each rank given."""
+        dims = [num_monomials(n + 1, k) - res.rank for k, res in enumerate(ranks)]
+        return cls(dims=dims, n=n, d=d, rank_details=list(ranks))
 
     @property
     def k_max(self) -> int:
@@ -47,17 +53,37 @@ class HilbertFunction:
     def T(self) -> int:
         return (self.n + 1) * (self.d - 2)
 
+    @property
+    def smooth_match(self) -> bool:
+        """dims equal the smooth reference on 0..k_max."""
+        return not any(self.excess(k) for k in range(len(self.dims)))
+
+    @property
+    def stable_value(self) -> int | None:
+        """tau: 0 if smooth, dims[T] if dims[T+1] repeats it, else None."""
+        if self.smooth_match:
+            return 0
+        T, dims = self.T, self.dims
+        return dims[T] if self.k_max > T and dims[T] == dims[T + 1] else None
+
+    @property
+    def certified(self) -> bool:
+        return all(res.certified for res in self.rank_details)
+
     def dim(self, k: int) -> int:
         """dim M(f)_k, extending beyond k_max where the tail is known."""
         if k < 0:
             return 0
         if k <= self.k_max:
             return self.dims[k]
-        if self.smooth_match and self.k_max >= self.T:
-            return 0
-        if self.stable_value is not None and self.k_max >= self.T:
+        if self.k_max >= self.T and self.stable_value is not None:
             return self.stable_value
         raise ValueError(f"degree {k} beyond computed range {self.k_max}")
+
+    def excess(self, k: int) -> int:
+        """dim M(f)_k minus its value for a smooth form of the same degree."""
+        smooth = _smooth_dims(self.n, self.d)
+        return self.dim(k) - (smooth[k] if 0 <= k < len(smooth) else 0)
 
     def series_text(self) -> str:
         return ", ".join(str(v) for v in self.dims)
@@ -65,6 +91,12 @@ class HilbertFunction:
 
 def smooth_hilbert(n: int, d: int) -> HilbertFunction:
     """Hilbert function of the Milnor algebra of any smooth degree-d form in P^n."""
+    return HilbertFunction(list(_smooth_dims(n, d)), n, d)
+
+
+@cache
+def _smooth_dims(n: int, d: int) -> tuple[int, ...]:
+    """The closed form ((1 - t^(d-1)) / (1 - t))^(n+1) through T+1."""
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
     block = [1] * (d - 1)  # 1 + t + ... + t^(d-2)
@@ -76,10 +108,7 @@ def smooth_hilbert(n: int, d: int) -> HilbertFunction:
                 for j, b in enumerate(block):
                     out[i + j] += a * b
         dims = out
-    dims.append(0)  # through T+1
-    return HilbertFunction(
-        dims=dims, n=n, d=d, stable_value=0, smooth_match=True, certified=True
-    )
+    return (*dims, 0)  # through T+1
 
 
 def hilbert_function(
@@ -104,26 +133,16 @@ def hilbert_function(
     n = f.num_vars - 1
     T = (n + 1) * (d - 2)
     grad = partial_derivatives(f, d)
-    ks = list(range(T + 2))
-    results = parallel_map(_strand_rank, [(grad, k, config) for k in ks], jobs)
-    dims = [num_monomials(n + 1, k) - res.rank for k, res in zip(ks, results)]
-    smooth = smooth_hilbert(n, d)
-    smooth_match = all(dims[k] == smooth.dim(k) for k in ks)
-    if not smooth_match and dims[T] != dims[T + 1]:
+    results = parallel_map(_strand_rank,
+                           [(grad, k, config) for k in range(T + 2)], jobs)
+    hf = HilbertFunction.from_ranks(n, d, results)
+    if hf.stable_value is None:
         raise NotNodalError(
             f"dim M(f) does not stabilize at T={T} "
-            f"({dims[T]} then {dims[T + 1]}); "
+            f"({hf.dims[T]} then {hf.dims[T + 1]}); "
             "input is not nodal or has non-isolated singularities"
         )
-    return HilbertFunction(
-        dims=dims,
-        n=n,
-        d=d,
-        stable_value=0 if smooth_match else dims[T],
-        smooth_match=smooth_match,
-        certified=all(res.certified for res in results),
-        rank_details=list(results),
-    )
+    return hf
 
 
 def parallel_map(fn, tasks: list, jobs: int = 1) -> list:
@@ -156,12 +175,9 @@ class ThresholdReport:
     st: int
     mdr: int | None   # first Koszul cohomology degree, shifted; None if none exists
     smooth: bool
-    certified: bool
 
 
-def thresholds(
-    hf: HilbertFunction, smooth: HilbertFunction, d: int
-) -> ThresholdReport:
+def thresholds(hf: HilbertFunction) -> ThresholdReport:
     """Read ct, st, mdr and tau off a computed Hilbert function.
 
     ct is the largest q with dim M(f)_k = dim M(f_s)_k for all k <= q; st is
@@ -169,47 +185,37 @@ def thresholds(
     q such that the degree q+n piece of the top Koszul cohomology of the
     gradient is nonzero.
     """
-    if hf.n != smooth.n or hf.d != smooth.d or hf.d != d:
-        raise ValueError("mismatched Hilbert functions")
-    n = hf.n
-    T = hf.T
+    n, d, T = hf.n, hf.d, hf.T
     if hf.k_max < T + 1:
         raise ValueError("need dimensions through T+1 to derive thresholds")
-    if hf.stable_value is None:
-        raise NotNodalError("Hilbert function did not stabilize")
     tau = hf.stable_value
+    if tau is None:
+        raise NotNodalError("Hilbert function did not stabilize")
     if hf.smooth_match:
-        return ThresholdReport(
-            n=n, d=d, T=T, tau=0, ct=None, st=T + 1, mdr=None,
-            smooth=True, certified=hf.certified,
-        )
+        return ThresholdReport(n=n, d=d, T=T, tau=0, ct=None, st=T + 1,
+                               mdr=None, smooth=True)
+    # stops by T+1: tau = dims[T] = dims[T+1] differs from the smooth
+    # reference's 1 at T or its 0 at T+1
     ct = 0
-    while hf.dim(ct + 1) == smooth.dim(ct + 1):
+    while hf.excess(ct + 1) == 0:
         ct += 1
     st = T + 1
     while st > 0 and hf.dim(st - 1) == tau:
         st -= 1
     mdr = None
     for q in range(0, T + n + 2):
-        if koszul_hn_dim(hf, smooth, n, d, q + n):
+        if koszul_hn_dim(hf, q + n):
             mdr = q
             break
-    return ThresholdReport(
-        n=n, d=d, T=T, tau=tau, ct=ct, st=st, mdr=mdr,
-        smooth=False, certified=hf.certified,
-    )
+    return ThresholdReport(n=n, d=d, T=T, tau=tau, ct=ct, st=st, mdr=mdr,
+                           smooth=False)
 
 
-def koszul_hn_dim(
-    hf: HilbertFunction, smooth: HilbertFunction, n: int, d: int, m: int
-) -> int:
+def koszul_hn_dim(hf: HilbertFunction, m: int) -> int:
     """dim of the degree-m piece of H^n of the Koszul complex of the gradient.
 
     Equals the excess of dim M(f) over the smooth reference in degree
     m + d - n - 1.  The index must lie in the computed (or known-stable)
     range.
     """
-    idx = m + d - n - 1
-    if idx < 0:
-        return 0
-    return hf.dim(idx) - smooth.dim(idx)
+    return hf.excess(m + hf.d - hf.n - 1)

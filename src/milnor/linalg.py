@@ -920,13 +920,32 @@ class RankConfig:
 
 @dataclass
 class RankResult:
+    """A rank, the primes drawn, the rank mod each and the deciding method."""
+
     rank: int
     primes: list[int] = field(default_factory=list)
     ranks: list[int] = field(default_factory=list)
-    agreement: bool = True
-    certified: bool = True
     method: str = "sparse-elimination"
-    exact_verified: bool = False
+
+    @property
+    def agreement(self) -> bool:
+        return len(set(self.ranks)) <= 1
+
+    @property
+    def exact_verified(self) -> bool:
+        return self.method == "dense-fraction-free"
+
+    @property
+    def certified(self) -> bool:
+        """Exact, or every prime reached the rank; with no prime, rank 0."""
+        return self.exact_verified or set(self.ranks or [0]) == {self.rank}
+
+    def to_dict(self) -> dict:
+        """Fields and derived values, in a cache entry's key order."""
+        return {"rank": self.rank, "primes": list(self.primes),
+                "ranks": list(self.ranks), "agreement": self.agreement,
+                "certified": self.certified, "method": self.method,
+                "exact_verified": self.exact_verified}
 
 
 def _engine(matrix: StrandMatrix) -> str:
@@ -1002,12 +1021,9 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
     primes = draw_distinct_primes(rng, config.primes)
     piece_ranks = _piece_ranks(matrix, primes)
     ranks = _totals(matrix, piece_ranks, len(primes))
-    agreement = len(set(ranks)) == 1
     if matrix.num_cols <= EXACT_VERIFY_COLS or (
-            not agreement and matrix.num_cols <= EXACT_FALLBACK_COLS):
+            len(set(ranks)) > 1 and matrix.num_cols <= EXACT_FALLBACK_COLS):
         exact = rank_exact(matrix, [max(r) for r in piece_ranks])
         return RankResult(rank=exact, primes=primes, ranks=ranks,
-                          agreement=agreement, method="dense-fraction-free",
-                          exact_verified=True)
-    return RankResult(rank=max(ranks), primes=primes, ranks=ranks,
-                      agreement=agreement, certified=agreement)
+                          method="dense-fraction-free")
+    return RankResult(rank=max(ranks), primes=primes, ranks=ranks)

@@ -78,15 +78,21 @@ class HypersurfaceReport:
     polynomial: str
     nodal_assumed: bool
     hilbert: HilbertFunction
-    smooth: HilbertFunction
     thresholds: ThresholdReport
     defects: Optional[DefectTable]
     alexander: Optional[AlexanderPolynomial]
     betti: Optional[BettiNumbers]
     checks: list[TheoremCheck] = field(default_factory=list)
     conjectures: list[ConjectureVerdict] = field(default_factory=list)
-    certified: bool = True
     timing: Optional[dict] = None
+
+    @property
+    def smooth(self) -> HilbertFunction:
+        return smooth_hilbert(self.n, self.d)
+
+    @property
+    def certified(self) -> bool:
+        return self.hilbert.certified
 
     def lint_failures(self) -> list[str]:
         """Identities that must hold in any internally consistent report."""
@@ -109,7 +115,7 @@ class HypersurfaceReport:
         # hilbert.dims, agreement from ranks, certified is summed up in
         # certification.certified
         rank_details = [
-            {"k": k, **{key: value for key, value in asdict(r).items()
+            {"k": k, **{key: value for key, value in r.to_dict().items()
                         if key not in ("rank", "agreement", "certified")}}
             for k, r in enumerate(self.hilbert.rank_details)]
         return {
@@ -151,10 +157,9 @@ class HypersurfaceReport:
 
     def to_csv(self) -> str:
         lines = ["k,dim_singular,dim_smooth,difference"]
-        for k in range(self.hilbert.k_max + 1):
-            a = self.hilbert.dims[k]
-            b = self.smooth.dim(k)
-            lines.append(f"{k},{a},{b},{a - b}")
+        for k, a in enumerate(self.hilbert.dims):
+            excess = self.hilbert.excess(k)
+            lines.append(f"{k},{a},{a - excess},{excess}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -223,20 +228,19 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
         hf = cached_hilbert_function(f, config, cache, jobs=config.jobs)
     else:
         hf = hilbert_function(f, config=config, jobs=config.jobs)
-    sm = smooth_hilbert(hf.n, hf.d)
-    t = thresholds(hf, sm, hf.d)
+    t = thresholds(hf)
 
     defects = alex = betti = None
     checks: list[TheoremCheck] = []
     verdicts: list[ConjectureVerdict] = []
     if nodal:
-        defects = defect_table(hf, sm)
+        defects = defect_table(hf)
         alex = alexander_polynomial(t, defects)
         try:
             betti = betti_numbers(t, defects)
         except ValueError:
             betti = None
-        checks = check_theorem_bounds(hf, sm, t)
+        checks = check_theorem_bounds(hf, t, defects)
         if chebyshev is not None and chebyshev.canonical and not t.smooth:
             checks.append(st_formula_check(hf.n, hf.d, t.st))
             verdicts = verify_conjectures(t, defects)
@@ -244,9 +248,9 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
     report = HypersurfaceReport(
         source=source, n=hf.n, d=hf.d,
         polynomial=format_polynomial(f),
-        nodal_assumed=nodal, hilbert=hf, smooth=sm, thresholds=t,
+        nodal_assumed=nodal, hilbert=hf, thresholds=t,
         defects=defects, alexander=alex, betti=betti, checks=checks,
-        conjectures=verdicts, certified=hf.certified and t.certified)
+        conjectures=verdicts)
 
     failures = report.lint_failures()
     if failures:

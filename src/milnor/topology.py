@@ -6,13 +6,14 @@ the degree-k linear system through N is recovered as
 
     defect S_k(N) = dim M(f)_{T-k} - dim M(f_s)_{T-k}
 
-where f_s is any smooth form of the same degree. The identity is used for
+where f_s is any smooth form of the same degree (HilbertFunction.excess,
+so no smooth reference, n or d is passed). The identity is used for
 all 0 <= k <= T; the vanishing tail (k >= T - ct) and the saturation range
 (defect = |N| - dim S_k for small k) are re-checked, not assumed. The
 module also evaluates the closed-form consequences for the Alexander
 polynomial of D and the middle Betti numbers, all of which are powers of
 defects, and packages the inequalities the thresholds must satisfy into
-machine-checkable records.
+machine-checkable records, given the caller's defect table.
 
 Nodality is a caller assertion; nothing here verifies singularity types.
 """
@@ -37,14 +38,12 @@ __all__ = [
 ]
 
 
-def defect(hf: HilbertFunction, smooth: HilbertFunction, k: int) -> int:
+def defect(hf: HilbertFunction, k: int) -> int:
     """defect S_k(N) for 0 <= k <= T, from the Hilbert-function difference."""
     T = hf.T
     if not 0 <= k <= T:
         raise ValueError(f"defect degree {k} outside [0, {T}]")
-    if hf.n != smooth.n or hf.d != smooth.d:
-        raise ValueError("smooth reference has different (n, d)")
-    return hf.dim(T - k) - smooth.dim(T - k)
+    return hf.excess(T - k)
 
 
 @dataclass
@@ -75,9 +74,9 @@ class DefectTable:
             ", ".join(f"S_{k}={v}" for k, v in self.nonzero()) or "none")
 
 
-def defect_table(hf: HilbertFunction, smooth: HilbertFunction) -> DefectTable:
+def defect_table(hf: HilbertFunction) -> DefectTable:
     T = hf.T
-    entries = {k: defect(hf, smooth, k) for k in range(T + 1)}
+    entries = {k: defect(hf, k) for k in range(T + 1)}
     return DefectTable(entries=entries, node_count=hf.stable_value or 0, T=T)
 
 
@@ -166,8 +165,8 @@ def _check(name, cond, lhs=None, rhs=None, detail="") -> TheoremCheck:
                         lhs=lhs, rhs=rhs, detail=detail)
 
 
-def check_theorem_bounds(hf: HilbertFunction, smooth: HilbertFunction,
-                         report: ThresholdReport) -> list[TheoremCheck]:
+def check_theorem_bounds(hf: HilbertFunction, report: ThresholdReport,
+                         defects: DefectTable) -> list[TheoremCheck]:
     """Evaluate every applicable bound and identity against computed data.
 
     Returns one record per check. Failures indicate either a genuinely
@@ -178,12 +177,11 @@ def check_theorem_bounds(hf: HilbertFunction, smooth: HilbertFunction,
     n1 = n // 2
     checks: list[TheoremCheck] = []
 
-    defects = defect_table(hf, smooth)
     tau = defects.node_count
 
     # low-degree Koszul cohomology vanishes up to a parity-dependent bound
     koszul_bound = n1 * d if n % 2 == 1 else n1 * d - 1
-    worst = max((abs(koszul_hn_dim(hf, smooth, n, d, m))
+    worst = max((abs(koszul_hn_dim(hf, m))
                  for m in range(koszul_bound + 1)), default=0)
     checks.append(_check("koszul-low-degree-vanishing", worst == 0,
                          lhs=worst, rhs=0,
@@ -263,7 +261,7 @@ def check_theorem_bounds(hf: HilbertFunction, smooth: HilbertFunction,
     # for n even, the Koszul dimension at m = n1*d equals b_n - 1
     if n % 2 == 0:
         betti = betti_numbers(report, defects)
-        kd = koszul_hn_dim(hf, smooth, n, d, n1 * d)
+        kd = koszul_hn_dim(hf, n1 * d)
         checks.append(_check("koszul-betti-consistency", kd == betti.value - 1,
                              lhs=kd, rhs=betti.value - 1))
     else:

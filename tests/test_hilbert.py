@@ -51,13 +51,12 @@ def test_kummer_quartic_numbers():
     assert hf.stable_value == 16
     assert hf.certified
     assert not hf.smooth_match
-    sm = smooth_hilbert(3, 4)
-    rep = thresholds(hf, sm, 4)
+    rep = thresholds(hf)
     assert (rep.tau, rep.ct, rep.st, rep.mdr) == (16, 5, 5, 3)
     assert rep.T == 8
     assert not rep.smooth
     assert rep.ct == rep.mdr + 4 - 2
-    assert [koszul_hn_dim(hf, sm, 3, 4, m) for m in range(9)] == \
+    assert [koszul_hn_dim(hf, m) for m in range(9)] == \
         [0, 0, 0, 0, 0, 0, 6, 12, 15]
 
 
@@ -68,7 +67,7 @@ def test_smooth_input_detected():
     assert hf.dims == sm.dims
     assert hf.smooth_match
     assert hf.stable_value == 0
-    rep = thresholds(hf, sm, 4)
+    rep = thresholds(hf)
     assert rep.smooth
     assert rep.ct is None and rep.mdr is None
     assert rep.tau == 0
@@ -78,9 +77,8 @@ def test_smooth_input_detected():
 def test_one_node_cubic_curve():
     f = parse_polynomial("x1^2*x2 - x0^3 - x0^2*x2", num_vars=3)
     hf = hilbert_function(f, config=RankConfig(seed=0))
-    sm = smooth_hilbert(2, 3)
     assert hf.dims == [1, 3, 3, 1, 1]
-    rep = thresholds(hf, sm, 3)
+    rep = thresholds(hf)
     assert (rep.tau, rep.ct, rep.st, rep.mdr) == (1, 3, 3, 2)
 
 
@@ -135,8 +133,8 @@ def test_dim_extension_beyond_computed_range():
     assert hf.dim(-1) == 0
     # a record through degree 5 only, which still matches the smooth
     # reference, says nothing past its range
-    short = replace(hf, dims=hf.dims[:6], stable_value=0, smooth_match=True,
-                    rank_details=hf.rank_details[:6])
+    short = replace(hf, dims=hf.dims[:6], rank_details=hf.rank_details[:6])
+    assert short.smooth_match and short.stable_value == 0
     with pytest.raises(ValueError, match="beyond computed range 5"):
         short.dim(11)
 
@@ -159,14 +157,12 @@ def test_threshold_input_validation():
     f = parse_polynomial(KUMMER, num_vars=4)
     hf = hilbert_function(f, config=RankConfig(seed=0))
     assert hf.k_max == 9  # T + 1
-    with pytest.raises(ValueError):
-        thresholds(hf, smooth_hilbert(2, 4), 4)
     # a record through degree 6 has left the smooth reference but has not
     # reached T + 1, so it is not known to stabilize
     short = HilbertFunction(dims=hf.dims[:7], n=3, d=4)
     assert short.dims == [1, 4, 10, 16, 19, 16, 16]
     with pytest.raises(ValueError, match=r"through T\+1"):
-        thresholds(short, smooth_hilbert(3, 4), 4)
+        thresholds(short)
 
 
 def test_inhomogeneous_and_low_degree_rejected():

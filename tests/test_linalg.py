@@ -15,6 +15,7 @@ from milnor.chebyshev import build, canonical_spec
 from milnor.domains import draw_distinct_primes
 from milnor.linalg import (
     RankConfig,
+    RankResult,
     StrandMatrix,
     berlekamp_massey_modp,
     certified_rank,
@@ -848,6 +849,18 @@ def test_rank_config_needs_a_prime():
     # one prime is a valid configuration, and it agrees with itself
     res = certified_rank(StrandMatrix(1, 1, [0], [0], [3]), RankConfig(primes=1))
     assert res.rank == 1 and len(res.primes) == 1
+
+
+def test_certification_is_read_off_the_ranks():
+    # with no prime drawn, only a rank of 0 (an empty strand) is proved
+    assert RankResult(rank=0).certified
+    assert not RankResult(rank=5).certified
+    # a rank that some prime did not reach is proved only by exact elimination
+    assert RankResult(rank=3, primes=[5, 7, 11], ranks=[3, 3, 3]).certified
+    modular = RankResult(rank=3, primes=[5, 7, 11], ranks=[3, 2, 3])
+    assert not modular.agreement and not modular.certified
+    exact = replace(modular, method="dense-fraction-free")
+    assert exact.exact_verified and exact.certified and not exact.agreement
 
 
 def test_disagreement_falls_back_to_exact():

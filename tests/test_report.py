@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import KUMMER_TEXT
+from conftest import FERMAT_TEXT, KUMMER_TEXT
 from milnor import cache as cache_module
 from milnor.cache import (HilbertCache, cache_key, cached_hilbert_function,
                           default_cache_dir)
@@ -47,25 +47,41 @@ def test_json_byte_identical_under_seed():
     assert json.loads(c)["thresholds"] == json.loads(a)["thresholds"]
 
 
+FROZEN_SEED0 = {
+    # source: (text, report sha256 and size, cache key, entry sha256 and size)
+    "kummer": (KUMMER_TEXT,
+               "f1dd05032a7dee3bd7ecca4f414e07c54cfd17698f473b5918177d94fd712217", 5008,
+               "35a86b1e65998c7c107f74a8ba62ba8a35756695f743bb9e213d2940aa3897e9",
+               "9cf04f2ba49dfd5cee2f69998030307ebf98435c09ebbf285c97d239ecde96a5", 1830),
+    # the smooth branch: stable value 0, no ct or mdr
+    "fermat": (FERMAT_TEXT,
+               "bfa1ed9594a141e34858937fd9ec8c98cb6a506c694e97a9ddca1630815d3e75", 5010,
+               "888290f1db56746f16fb30d4b1190e3352b475c3af29acaa5b9f7f5b9c0c751f",
+               "2b4adaebf81641d26e33783ac37ce31e191027e933e590cc76cc91c314a8492b", 1825),
+}
+
+
 def test_frozen_bytes_seed0(tmp_path):
-    # sha256 and size of the seed-0 Kummer report and of its cache entry;
-    # a change here changes what users get on disk, so it must be deliberate
-    f = parse_polynomial(KUMMER_TEXT, num_vars=4)
+    # sha256 and size of the seed-0 reports of a nodal and a smooth quartic
+    # and of their cache entries; a change here changes what users get on
+    # disk, so it must be deliberate
     config = RunConfig(seed=0)
-    text = analyze(f, source="kummer", config=config).to_json().encode()
-    assert (hashlib.sha256(text).hexdigest(), len(text)) == (
-        "f1dd05032a7dee3bd7ecca4f414e07c54cfd17698f473b5918177d94fd712217", 5008)
-    cache = HilbertCache(str(tmp_path))
-    cached_hilbert_function(f, config, cache)
-    key = cache_key(f, RankConfig(seed=0))
-    # existing caches keep hitting only while the key is unchanged
-    assert key == ("35a86b1e65998c7c107f74a8ba62ba8a"
-                   "35756695f743bb9e213d2940aa3897e9")
-    assert cache_key(f, config) == key
-    with open(cache.path(key), "rb") as fh:
-        entry = fh.read()
-    assert (hashlib.sha256(entry).hexdigest(), len(entry)) == (
-        "9cf04f2ba49dfd5cee2f69998030307ebf98435c09ebbf285c97d239ecde96a5", 1830)
+    for source, (poly, report_sha, report_size, want_key, entry_sha,
+                 entry_size) in FROZEN_SEED0.items():
+        f = parse_polynomial(poly, num_vars=4)
+        text = analyze(f, source=source, config=config).to_json().encode()
+        assert (hashlib.sha256(text).hexdigest(), len(text)) == (
+            report_sha, report_size), source
+        cache = HilbertCache(str(tmp_path / source))
+        cached_hilbert_function(f, config, cache)
+        key = cache_key(f, RankConfig(seed=0))
+        # existing caches keep hitting only while the key is unchanged
+        assert key == want_key, source
+        assert cache_key(f, config) == key
+        with open(cache.path(key), "rb") as fh:
+            entry = fh.read()
+        assert (hashlib.sha256(entry).hexdigest(), len(entry)) == (
+            entry_sha, entry_size), source
 
 
 def test_csv_column_layout(kummer):
@@ -181,7 +197,7 @@ def test_cache_corrupt_entry_skipped(tmp_path):
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         hf2 = cached_hilbert_function(f, cfg, cache)
     assert hf2.dims == hf.dims
-    assert cache.load(key).dims == hf.dims  # rewritten cleanly
+    assert cache.load(key, 2, 3).dims == hf.dims  # rewritten cleanly
 
 
 def test_cache_entry_missing_field_skipped(tmp_path):
@@ -196,7 +212,7 @@ def test_cache_entry_missing_field_skipped(tmp_path):
     with open(cache.path(key), "w") as fh:
         json.dump(data, fh)
     with pytest.warns(UserWarning, match="corrupt cache entry"):
-        assert cache.load(key) is None
+        assert cache.load(key, 2, 3) is None
 
 
 @pytest.mark.parametrize("edit", [
@@ -205,10 +221,19 @@ def test_cache_entry_missing_field_skipped(tmp_path):
     pytest.param(lambda data: data["dims"].__setitem__(2, 1.5), id="dims-float"),
     pytest.param(lambda data: data.update(rank_details=data["rank_details"][:-1]),
                  id="rank-details-truncated"),
+    pytest.param(lambda data: data["dims"].__setitem__(1, 4), id="dims-not-from-ranks"),
+    pytest.param(lambda data: data.update(smooth_match=False), id="smooth-match-flipped"),
+    pytest.param(lambda data: data.update(certified=False), id="certified-flipped"),
+    pytest.param(lambda data: data["rank_details"][3].update(ranks=[9, 8, 7]),
+                 id="ranks-disagree"),
+    pytest.param(lambda data: data["rank_details"][3].update(exact_verified=False),
+                 id="exact-verified-flipped"),
 ])
 def test_cache_entry_of_wrong_length_is_recomputed(tmp_path, edit):
-    # the entry still parses, but its dims do not run through T+1, so
-    # thresholds would refuse it on every later run
+    # the entry still parses, but it is not the record its ranks make: dims
+    # or ranks do not run through T+1, or its dims or a stored summary are
+    # not the ones the ranks give.  Trusted, it would be refused, hang the
+    # ct loop of thresholds, or certify what was not proved on every later run
     f = parse_polynomial("x0^3 + x1^3 + x2^3", num_vars=3)
     cache = HilbertCache(str(tmp_path))
     cfg = RankConfig(seed=0)
@@ -223,7 +248,7 @@ def test_cache_entry_of_wrong_length_is_recomputed(tmp_path, edit):
     assert cache.entries()[0]["corrupt"]
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         assert cached_hilbert_function(f, cfg, cache) == want
-    assert cache.load(key) == want  # rewritten cleanly
+    assert cache.load(key, 2, 3) == want  # rewritten cleanly
     assert "corrupt" not in cache.entries()[0]
 
 
@@ -238,7 +263,7 @@ def test_cache_entry_for_another_n_or_d_is_recomputed(tmp_path, other):
     want = hilbert_function(f, config=cfg)
     with pytest.warns(UserWarning, match="corrupt cache entry.*n=.*d="):
         assert cached_hilbert_function(f, cfg, cache) == want
-    assert cache.load(key) == want
+    assert cache.load(key, 2, 3) == want
 
 
 @pytest.mark.parametrize("blob", ["[]", "3", "null"])
@@ -246,7 +271,7 @@ def test_cache_non_object_entry_is_corrupt(tmp_path, blob):
     cache = HilbertCache(str(tmp_path))
     (tmp_path / "deadbeef.json").write_text(blob + "\n")
     with pytest.warns(UserWarning, match="corrupt cache entry"):
-        assert cache.load("deadbeef") is None
+        assert cache.load("deadbeef", 2, 3) is None
     assert cache.entries() == [{"key": "deadbeef", "size": len(blob) + 1,
                                 "corrupt": True}]
 
@@ -277,7 +302,7 @@ def test_analyze_stores_then_hits_cache(tmp_path, monkeypatch):
     config = RunConfig(seed=0)
     first = analyze(f, config=config, cache=cache)
     assert first.thresholds.smooth
-    assert cache.load(cache_key(f, config)).dims == first.hilbert.dims
+    assert cache.load(cache_key(f, config), 2, 3).dims == first.hilbert.dims
 
     def refuse(*args, **kwargs):
         raise AssertionError("hilbert_function called on a cache hit")

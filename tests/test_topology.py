@@ -2,7 +2,6 @@
 
 import pytest
 
-from milnor.hilbert import smooth_hilbert
 from milnor.topology import (TheoremCheck, alexander_polynomial,
                              betti_numbers, check_theorem_bounds, defect,
                              defect_table)
@@ -17,13 +16,11 @@ def test_kummer_defect_table(kummer):
 
 
 def test_defect_argument_guards(kummer):
-    hf, sm = kummer.hilbert, kummer.smooth
+    hf = kummer.hilbert
     with pytest.raises(ValueError):
-        defect(hf, sm, -1)
+        defect(hf, -1)
     with pytest.raises(ValueError):
-        defect(hf, sm, hf.T + 1)
-    with pytest.raises(ValueError):
-        defect(hf, smooth_hilbert(2, 4), 2)
+        defect(hf, hf.T + 1)
 
 
 def test_defect_identity_against_series(kummer):
@@ -34,7 +31,7 @@ def test_defect_identity_against_series(kummer):
 
 
 def test_smooth_defects_all_zero(fermat):
-    table = defect_table(fermat.hilbert, fermat.smooth)
+    table = defect_table(fermat.hilbert)
     assert table.node_count == 0
     assert table.nonzero() == []
 
@@ -84,7 +81,7 @@ def test_betti_even_dimension(pipeline):
     # dim H^n(K*)_(n1 d) = b_n - 1
     rep = pipeline.cc(4, 4)
     from milnor.hilbert import koszul_hn_dim
-    assert koszul_hn_dim(rep.hilbert, rep.smooth, 4, 4, 8) == b.value - 1
+    assert koszul_hn_dim(rep.hilbert, 8) == b.value - 1
 
 
 def test_betti_undefined_parity(pipeline):
