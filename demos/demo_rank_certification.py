@@ -3,9 +3,12 @@ Certified sparse rank: multiple primes, exact fallback
 ======================================================
 
 Every Hilbert function value is a corank of a strand of the Jacobian ideal.
-Ranks are computed mod several independently seeded 31-bit primes; modular
-rank can only undershoot the true rank, so agreement across primes plus an
-exact cross-check on small strands certifies the answer.
+Ranks are computed mod several independently seeded 31-bit primes; a rank
+mod p can only undershoot the true rank, so the largest is a proved lower
+bound.  `certified` means proved when the strand is also ranked exactly: a
+strand of at most EXACT_VERIFY_COLS (48) columns always is, and one of at
+most EXACT_FALLBACK_COLS (2000) columns is when its primes disagree.  Past
+those sizes `certified` says only that every prime gave the same rank.
 
 Run:  python3 demos/demo_rank_certification.py
 """
@@ -37,8 +40,8 @@ partials = partial_derivatives(f, 4)
 # columns the (partial, multiplier) pairs with multipliers of degree
 # k - d + 1.  The corank is dim M(f)_k.  Kummer is fixed by every
 # permutation of x0..x3, proved from the partials, so the blocks of each
-# strand come in orbits of identical copies and one block per orbit is
-# ranked.  A representative that disjoint transpositions map onto itself
+# strand come in orbits of identical copies, each proved a copy on every
+# entry, and one block per orbit is ranked.  A representative that disjoint transpositions map onto itself
 # is cut into one piece per +-1 character of the group they generate
 # (blocks under SPLIT_CELLS cells are ranked whole).  Each proved
 # transposition carries the row and the column permutation it induces.

@@ -68,7 +68,9 @@ class HilbertFunction:
 
     @property
     def certified(self) -> bool:
-        return all(res.certified for res in self.rank_details)
+        """Every dim is read off a certified rank (smooth_hilbert's are not)."""
+        ranks = self.rank_details
+        return len(ranks) == len(self.dims) and all(res.certified for res in ranks)
 
     def dim(self, k: int) -> int:
         """dim M(f)_k, extending beyond k_max where the tail is known."""

@@ -24,15 +24,17 @@ array union-find.  Jacobian strands of symmetric forms such as CC(n,d) fall
 apart into many such blocks.  A strand also records in `symmetries` the
 transpositions of the variables proved to permute its generators exactly,
 each with the row and the column permutation it induces, written by
-jacobian_strand_matrix, the one place that knows the strand layout; those
-map blocks onto blocks with the same entries, the same union-find joins
-such blocks into orbits, and one block per orbit is ranked and counted with
-the orbit's size.  A representative that some of them map onto itself, of
-at least SPLIT_CELLS cells, is cut by milnor.symmetry into one piece per
-+-1 character of the group G = Z2^t that a maximal set of disjoint such
-transpositions generates.  For odd d, where no two blocks are alike, this
-is the only symmetry that helps: CC(3,5) at k=13 is one 560x880 block,
-cut into 308x470 and 252x410 pieces.  Each piece gets one of two engines:
+jacobian_strand_matrix, the one place that knows the strand layout.  Blocks
+they exchange are joined into orbits, one block per orbit is ranked and
+counted with the orbit's size, and a representative that some of them map
+onto itself, of at least SPLIT_CELLS cells, is cut by milnor.symmetry into
+one piece per +-1 character of the group G = Z2^t that a maximal set of
+disjoint such transpositions generates.  Joins and splits alike use a map
+only once it is proved on every entry of the block it moves, so a false
+claim raises ValueError and cannot change a rank.  For odd d, where no two
+blocks are alike, the split is the only symmetry that helps: CC(3,5) at
+k=13 is one 560x880 block, cut into 308x470 and 252x410 pieces.  Each
+piece gets one of two engines:
   * dense mod-p elimination a panel of columns at a time: int64 row
     operations on the panel, then the Schur complement of the remaining
     columns in float64 BLAS matmuls of the left factor's two halves (exact
@@ -116,9 +118,9 @@ class StrandMatrix:
     (i, j) of the variables proved to keep every entry, taking row r to
     row_map[r] and column c to col_map[c]; jacobian_strand_matrix writes
     them.  Blocks exchanged by the symmetries are ranked once, and a block
-    that some of them map onto itself is split by their characters.  The
-    default () claims nothing; a map that does not permute the rows or the
-    columns raises ValueError naming its pair.
+    that some of them map onto itself is split by their characters; both
+    prove each map they use on every entry.  The default () claims nothing;
+    a false claim raises ValueError naming its pair.
     """
 
     num_rows: int
@@ -163,9 +165,10 @@ class StrandMatrix:
     def orbits(self) -> list[tuple[StrandMatrix, int]]:
         """One (representative block, multiplicity) pair per symmetry orbit.
 
-        The orbits are the classes of blocks under the kept transpositions;
-        every block of an orbit has its representative's rank mod every
-        prime and over Q.  Without symmetries each block is its own orbit.
+        The orbits are the classes of blocks under the kept transpositions,
+        each join proved on every entry as a split is, so every block of an
+        orbit has its representative's rank mod every prime and over Q.
+        Without symmetries each block is its own orbit.
         """
         blocks = self.blocks
         return [(blocks[b], count) for b, count in self._orbit_counts]
@@ -188,20 +191,22 @@ class StrandMatrix:
 
     @cached_property
     def _components(self):
-        """The blocks, the row of each block's first entry, the block of
-        each row and column node (rows first, then columns; -1 when empty),
-        and each node's place among the rows or columns of its block."""
+        """The blocks, the row of each block's first entry, the block of each
+        row and column node (rows first, then columns; -1 when empty), each
+        node's place among its block's rows or columns, and each block's rows
+        and columns in the order of their places."""
         m, size, nnz = self.num_rows, self.num_rows + self.num_cols, self.nnz
         root = _union_find(size, self.rows, m + self.cols)
         if nnz and (root == root[0]).all():
-            return [self], self.rows[:1], np.zeros(size, dtype=np.int64), np.r_[
-                np.arange(m), np.arange(self.num_cols)]
+            ids = np.arange(m), np.arange(self.num_cols)
+            return [self], self.rows[:1], np.zeros(size, np.int64), np.concatenate(ids), [ids]
         # local[v]: the place of row or column v among the rows or columns of
         # its block, read off the nodes sorted by (root, node)
         key = np.sort(root * size + np.arange(size))
         nodes, rows = np.bincount(root, minlength=size), np.bincount(root[:m], minlength=size)
+        start, order = np.cumsum(nodes) - nodes, key % size
         local = np.empty(size, dtype=np.int64)
-        local[key % size] = np.arange(size) - (np.cumsum(nodes) - nodes)[key // size]
+        local[order] = np.arange(size) - start[key // size]
         local[m:] -= rows[root[m:]]
         # the entries of each block in order, blocks in the order of their first entries
         key = np.sort(root[self.rows] * nnz + np.arange(nnz))
@@ -215,35 +220,56 @@ class StrandMatrix:
                                        (nodes - rows)[block_roots].tolist())]
         block_of = np.full(size, -1)
         block_of[block_roots] = np.arange(len(parts))
-        return blocks, first, block_of[root], local
+        members = [(order[a : a + r], order[a + r : a + c] - m) for a, r, c in zip(
+            start[block_roots].tolist(), rows[block_roots].tolist(), nodes[block_roots].tolist())]
+        return blocks, first, block_of[root], local, members
 
     @cached_property
     def _orbit_counts(self) -> list[tuple[int, int]]:
         """One (representative block index, multiplicity) pair per orbit.
 
-        A symmetry maps the block holding row r onto the block holding the
-        swapped monomial, so the first row of each block joins the orbits.
-        A joined block must match its representative in shape, nnz and
-        sorted entry values, or the claimed symmetry is false: ValueError.
+        Each orbit grows breadth first from the lowest block in none yet,
+        along the blocks that the symmetries take its blocks' first rows to;
+        _image proves each block it adds the image of one already in it.
         """
-        blocks, first, block_of, _ = self._components
-        orbit = np.arange(len(blocks))
-        if self.symmetries and blocks:
-            # targets[b, s]: the block that symmetry s maps block b onto
-            targets = block_of[np.stack([rows[first] for _, rows, _ in self.symmetries],
-                                        axis=1)]
-            if (targets < 0).any():
-                pair = self.symmetries[(targets < 0).any(axis=0).argmax()][0]
-                raise ValueError(f"transposition {pair} maps a block onto empty rows")
-            orbit = _union_find(len(blocks), np.repeat(orbit, len(self.symmetries)),
-                                targets.ravel())
-        reps: dict[int, list] = {}
-        for b, root in enumerate(orbit.tolist()):
-            rep = reps.setdefault(root, [b, 0])
-            if rep[1]:
-                _check_same_entries(blocks[b], blocks[rep[0]])
-            rep[1] += 1
-        return [(b, count) for b, count in reps.values()]
+        blocks, first, block_of, _, _ = self._components
+        targets = [block_of[row_map[first]].tolist() for _, row_map, _ in self.symmetries]
+        seen, out = [False] * len(blocks), []
+        for rep in range(len(blocks)):
+            if seen[rep]:
+                continue
+            seen[rep], members = True, [rep]
+            for b in members:
+                for s, to in enumerate(targets):
+                    if to[b] < 0 or not seen[to[b]]:
+                        members.append(self._image(b, s)[0])
+                        seen[members[-1]] = True
+            out.append((rep, len(members)))
+        return out
+
+    def _image(self, b: int, s: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """The block that symmetry s maps block b onto, and b's rows and
+        columns as places in that block.
+
+        ValueError naming the pair unless every row and column of b lands in
+        that one block and every entry of b, repeats summed, on an equal
+        entry there.  Blocks have no empty row or column, so the two then
+        have equal ranks.
+        """
+        blocks, _, block_of, local, members = self._components
+        pair, row_map, col_map = self.symmetries[s]
+        (rows, cols), block = members[b], blocks[b]
+        row_img, col_img = row_map[rows], self.num_rows + col_map[cols]
+        c = int(block_of[row_img[0]])
+        if c >= 0 and (block_of[row_img] == c).all() and (block_of[col_img] == c).all():
+            rho, pi = local[row_img], local[col_img]
+            target = blocks[c]
+            keys, values = summed(target.rows * target.num_cols + target.cols, target.values)
+            got = summed(rho[block.rows] * target.num_cols + pi[block.cols], block.values)
+            if len(keys) == len(got[0]) and (keys == got[0]).all() and (values == got[1]).all():
+                return c, rho, pi
+        raise ValueError(f"transposition {pair} does not map a block onto one block "
+                         f"with the same entries")
 
     def residues(self, primes) -> np.ndarray:
         """The (rows, primes, cols) int64 stack of the matrix mod each prime."""
@@ -262,30 +288,22 @@ class StrandMatrix:
 
         The group G = Z2^t is generated by a maximal set of pairwise
         disjoint transpositions that map the block onto itself, kept
-        greedily in the order of `symmetries`; each must keep every entry,
-        and together they must act as commuting involutions, or ValueError.
+        greedily in the order of `symmetries`; _image proves each, and
+        together they must act as commuting involutions, or ValueError.
         milnor.symmetry cuts the pieces, whose ranks add up to the block's
         over Q and mod every odd prime; pieces without entries are dropped.
         """
-        blocks, first, block_of, local = self._components
-        block, m = blocks[b], self.num_rows
-        row_ids = np.flatnonzero(block_of[:m] == b)
-        col_ids = np.flatnonzero(block_of[m:] == b)
+        blocks, first, block_of, _, _ = self._components
         gens, moved = [], set()
-        for (i, j), row_map, col_map in self.symmetries:
+        for s, ((i, j), row_map, _) in enumerate(self.symmetries):
             if i in moved or j in moved or block_of[row_map[first[b]]] != b:
                 continue
-            row_img, col_img = row_map[row_ids], m + col_map[col_ids]
-            if (block_of[row_img] != b).any() or (block_of[col_img] != b).any():
-                raise ValueError(f"transposition {(i, j)} maps a block partly "
-                                 f"onto another")
-            gens.append((local[row_img], local[col_img]))
-            _check_kept_entries(block, *gens[-1], (i, j))
+            gens.append((*self._image(b, s)[1:], None))
             moved |= {i, j}
+        block = blocks[b]
         if not gens:
             return [block]
-        split = CharacterSplit((block.num_rows, block.num_cols),
-                               [(rho, pi, None) for rho, pi in gens])
+        split = CharacterSplit((block.num_rows, block.num_cols), gens)
         return [StrandMatrix(*piece) for piece in split.cut(block.rows, block.cols,
                                                             block.values)]
 
@@ -326,31 +344,6 @@ def _swapped(mono, i: int, j: int) -> tuple:
     out = list(mono)
     out[i], out[j] = out[j], out[i]
     return tuple(out)
-
-
-def _check_same_entries(block: StrandMatrix, rep: StrandMatrix) -> None:
-    """Raise unless block could be rep with rows and columns permuted.
-
-    A symmetry permutes rows and columns and keeps every entry, so the
-    shape, nnz and sorted entry values of joined blocks agree.
-    """
-    shape, rep_shape = ((b.num_rows, b.num_cols, b.nnz) for b in (block, rep))
-    if shape != rep_shape:
-        raise ValueError(f"a block of shape {shape} joins the "
-                         f"orbit of one of shape {rep_shape}")
-    if not np.array_equal(np.sort(block.values), np.sort(rep.values)):
-        raise ValueError("a block joins the orbit of one with other entry "
-                         "values")
-
-
-def _check_kept_entries(block: StrandMatrix, row_perm, col_perm, pair) -> None:
-    """Raise unless permuting block's rows and columns keeps every entry."""
-    width = block.num_cols
-    keys, values = summed(block.rows * width + block.cols, block.values)
-    moved = summed(row_perm[block.rows] * width + col_perm[block.cols], block.values)
-    if not (np.array_equal(keys, moved[0]) and np.array_equal(values, moved[1])):
-        raise ValueError(f"transposition {pair} maps a block onto itself "
-                         f"but changes its entries")
 
 
 def _exact_array(values) -> np.ndarray:

@@ -60,6 +60,16 @@ def test_kummer_quartic_numbers():
         [0, 0, 0, 0, 0, 0, 6, 12, 15]
 
 
+def test_certified_needs_a_certified_rank_per_degree():
+    # dims alone claim no proof, nor does a record missing the rank of a degree
+    assert not HilbertFunction([1, 4, 10, 16, 19, 16, 16, 16, 16, 16], 3, 4).certified
+    assert not smooth_hilbert(3, 4).certified
+    f = parse_polynomial(KUMMER, num_vars=4)
+    hf = hilbert_function(f, config=RankConfig(seed=0))
+    assert hf.certified and len(hf.rank_details) == len(hf.dims)
+    assert not replace(hf, rank_details=hf.rank_details[:-1]).certified
+
+
 def test_smooth_input_detected():
     f = parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4", num_vars=4)
     hf = hilbert_function(f, config=RankConfig(seed=0))

@@ -807,24 +807,29 @@ def test_one_dense_rank_per_orbit(monkeypatch):
         assert len(calls) == len(sm.pieces) == 13
 
 
+# what StrandMatrix raises for a symmetry that does not map a block onto a
+# block with the same entries, in a join or a split
+NOT_A_BLOCK_MAP = "does not map a block onto one block with the same entries"
+
+
 def test_false_symmetry_claim_raises():
     # Fermat plus x0^3*x1 is not fixed by swapping x0 and x1; claimed anyway,
     # the orbits would join blocks that differ
     partials = _partials(FERMAT_TEXT + " + x0^3*x1")
-    for k, message in ((5, "empty rows"), (8, "shape")):
+    for k in (5, 8):
         sm = jacobian_strand_matrix(partials, k)
         assert (0, 1) not in _pairs(sm)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=NOT_A_BLOCK_MAP):
             _claimed(sm, partials, _gradient(4, (0, 1))).orbits
     # x1^5 breaks (1, 2) on CC(3,5); at k = 9 and 13 the strand is one block,
-    # which the claim maps onto itself, so only the split's entry check
-    # sees it
+    # which the claim maps onto itself, so only the split, taking it as a
+    # generator, sees it
     partials = partial_derivatives(build(canonical_spec(3, 5))
                                    + parse_polynomial("x1^5", num_vars=4), 5)
     for k in (9, 13):
         sm = jacobian_strand_matrix(partials, k)
         assert len(sm.blocks) == 1 and _pairs(sm) == ((2, 3),)
-        with pytest.raises(ValueError, match="changes its entries"):
+        with pytest.raises(ValueError, match=NOT_A_BLOCK_MAP):
             rank_mod_p(_claimed(sm, partials, _gradient(4, (1, 2))), 2147483029)
 
 
@@ -838,8 +843,93 @@ def test_false_symmetry_claim_with_equal_shapes_raises():
     assert _pairs(sm) == ((2, 3),)
     assert rank_mod_p(sm, 2147483029) == 115
     claimed = _claimed(sm, partials, _gradient(4, (1, 2), (1, 3), (2, 3)))
-    with pytest.raises(ValueError, match="entry values"):
+    with pytest.raises(ValueError, match=NOT_A_BLOCK_MAP):
         rank_mod_p(claimed, 2147483029)
+
+
+def test_joined_blocks_are_proved_on_every_entry():
+    # two 3x3 blocks of six unit entries agree in shape, nnz and sorted
+    # values but rank 3 and 2; a swap of them claimed must not rank the
+    # matrix 6 (its rank is 5)
+    a = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]
+    b = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 2)]
+    rows = [r for r, _ in a] + [3 + r for r, _ in b]
+    cols = [c for _, c in a] + [3 + c for _, c in b]
+    assert rank_exact(StrandMatrix(6, 6, rows, cols, [1] * 12)) == 5
+    swap = [3, 4, 5, 0, 1, 2]
+    sm = StrandMatrix(6, 6, rows, cols, [1] * 12, symmetries=(((1, 2), swap, swap),))
+    for rank in (certified_rank, lambda m: rank_mod_p(m, 2147483029), rank_exact):
+        with pytest.raises(ValueError, match=r"transposition \(1, 2\) " + NOT_A_BLOCK_MAP):
+            rank(replace(sm))
+    # two copies of a, the first with its entry at (0, 0) written as 3 - 2:
+    # the swap keeps the summed entries, so it joins them
+    rows = [r for r, _ in a] + [0] + [3 + r for r, _ in a]
+    cols = [c for _, c in a] + [0] + [3 + c for _, c in a]
+    twins = StrandMatrix(6, 6, rows, cols, [3] + [1] * 5 + [-2] + [1] * 6,
+                         symmetries=(((1, 2), swap, swap),))
+    assert [count for _, count in twins.orbits] == [2]
+    assert certified_rank(twins).rank == rank_mod_p(twins, 2147483029) == 6
+
+
+def _involution(rng, groups, pairing):
+    """A random involution of the indices in groups that maps group g onto
+    group pairing[g] (an involution of the groups, of equal sizes)."""
+    perm = list(range(sum(map(len, groups))))
+    for g, h in enumerate(pairing):
+        if g < h:
+            for i, j in zip(groups[g], rng.sample(groups[h], len(groups[h]))):
+                perm[i], perm[j] = j, i
+        elif g == h:
+            shuffled = rng.sample(groups[g], len(groups[g]))
+            for i, j in zip(shuffled[::2], shuffled[1::2]):
+                perm[i], perm[j] = j, i
+    return perm
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+def test_claimed_involutions_never_change_a_rank(split, monkeypatch):
+    """Random involutions claimed on block-diagonal matrices whose blocks
+    agree in shape, nnz and sorted values: each rank taken either raises
+    ValueError or equals the rank without the claim.  Most claims are
+    false; those that copy one block onto its twins are true."""
+    if split:
+        monkeypatch.setattr(linalg, "SPLIT_CELLS", 0)
+    rng = random.Random(2004)
+    p = 2147483029
+    outcomes = set()
+    for trial in range(120):
+        size, count = rng.randrange(2, 4), rng.randrange(2, 5)
+        values = [rng.choice((1, 2)) for _ in range(rng.randrange(size + 1, size * size))]
+        cells = [(i, j) for i in range(size) for j in range(size)]
+        twins = rng.random() < 0.3
+        pattern = rng.sample(cells, len(values))
+        rows, cols = [], []
+        for g in range(count):
+            pattern = pattern if twins else rng.sample(cells, len(values))
+            rows += [g * size + i for i, _ in pattern]
+            cols += [g * size + j for _, j in pattern]
+        plain = StrandMatrix(count * size, count * size, rows, cols, values * count)
+        groups = [list(range(g * size, (g + 1) * size)) for g in range(count)]
+        claims = []
+        for pair in ((0, 1), (2, 3))[: rng.randrange(1, 3)]:
+            pairing = _involution(rng, [list(range(count))], [0])
+            if twins:  # each block onto its twin, place by place
+                perm = [pairing[i // size] * size + i % size for i in range(count * size)]
+                claims.append((pair, perm, perm))
+            else:
+                claims.append((pair, _involution(rng, groups, pairing),
+                               _involution(rng, groups, pairing)))
+        claimed = replace(plain, symmetries=tuple(claims))
+        for rank, want in ((lambda m: rank_mod_p(m, p), rank_mod_p(plain, p)),
+                           (lambda m: certified_rank(m).rank, rank_exact(plain))):
+            try:
+                got = rank(replace(claimed))
+            except ValueError:
+                outcomes.add("raised")
+                continue
+            assert got == want, (trial, claims)
+            outcomes.add("ranked")
+    assert outcomes == {"raised", "ranked"}
 
 
 def test_rank_config_needs_a_prime():
