@@ -39,9 +39,10 @@ partials = partial_derivatives(f, 4)
 # Strand k of the Jacobian ideal: rows are the monomials of degree k,
 # columns the (partial, multiplier) pairs with multipliers of degree
 # k - d + 1.  The corank is dim M(f)_k.  Kummer is fixed by every
-# permutation of x0..x3, proved from the partials, so the blocks of each
-# strand come in orbits of identical copies, each proved a copy on every
-# entry, and one block per orbit is ranked.  A representative that disjoint transpositions map onto itself
+# permutation of x0..x3, proved from the partials, and each transposition
+# is proved again on every entry of the strand, so the blocks of each
+# strand come in orbits of identical copies, and one block per orbit is
+# ranked.  A representative that disjoint transpositions map onto itself
 # is cut into one piece per +-1 character of the group they generate
 # (blocks under SPLIT_CELLS cells are ranked whole).  Each proved
 # transposition carries the row and the column permutation it induces.

@@ -29,9 +29,11 @@ they exchange are joined into orbits, one block per orbit is ranked and
 counted with the orbit's size, and a representative that some of them map
 onto itself, of at least SPLIT_CELLS cells, is cut by milnor.symmetry into
 one piece per +-1 character of the group G = Z2^t that a maximal set of
-disjoint such transpositions generates.  Joins and splits alike use a map
-only once it is proved on every entry of the block it moves, so a false
-claim raises ValueError and cannot change a rank.  For odd d, where no two
+disjoint such transpositions generates.  Each claimed map is proved
+once, on the whole strand: it must move the strand's entries onto equal
+entries, so it sends each block onto one block with the same entries, and
+joins and splits read their block maps off that proof.  A false claim
+raises ValueError and cannot change a rank.  For odd d, where no two
 blocks are alike, the split is the only symmetry that helps: CC(3,5) at
 k=13 is one 560x880 block, cut into 308x470 and 252x410 pieces.  Each
 piece gets one of two engines:
@@ -117,10 +119,11 @@ class StrandMatrix:
     `symmetries` holds one (pair, row map, column map) per transposition
     (i, j) of the variables proved to keep every entry, taking row r to
     row_map[r] and column c to col_map[c]; jacobian_strand_matrix writes
-    them.  Blocks exchanged by the symmetries are ranked once, and a block
-    that some of them map onto itself is split by their characters; both
-    prove each map they use on every entry.  The default () claims nothing;
-    a false claim raises ValueError naming its pair.
+    them.  Each is proved once on the whole matrix, before the first rank
+    or orbit is taken.  Blocks exchanged by the symmetries are ranked once,
+    and a block that some of them map onto itself is split by their
+    characters.  The default () claims nothing; a false claim raises
+    ValueError naming its pair.
     """
 
     num_rows: int
@@ -166,7 +169,7 @@ class StrandMatrix:
         """One (representative block, multiplicity) pair per symmetry orbit.
 
         The orbits are the classes of blocks under the kept transpositions,
-        each join proved on every entry as a split is, so every block of an
+        each proved on every entry of the matrix, so every block of an
         orbit has its representative's rank mod every prime and over Q.
         Without symmetries each block is its own orbit.
         """
@@ -225,51 +228,41 @@ class StrandMatrix:
         return blocks, first, block_of[root], local, members
 
     @cached_property
+    def _targets(self) -> list[np.ndarray]:
+        """The block each symmetry maps each block onto, once every symmetry
+        is proved on the whole strand.
+
+        ValueError naming the pair unless the symmetry moves the keys
+        row * num_cols + col of the entries, repeats summed, onto the same
+        keys with equal values.  Such a map is an automorphism of the
+        row-column graph, so it sends each block onto one block with the
+        same entries, and the two have equal ranks.
+        """
+        _, first, block_of, _, _ = self._components
+        keys, values = summed(self.rows * self.num_cols + self.cols, self.values)
+        rows, cols = np.divmod(keys, self.num_cols)
+        for pair, row_map, col_map in self.symmetries:
+            moved = row_map[rows] * self.num_cols + col_map[cols]
+            order = np.argsort(moved)
+            if not (np.array_equal(moved[order], keys) and np.array_equal(values[order], values)):
+                raise ValueError(f"transposition {pair} does not map a block onto one block "
+                                 f"with the same entries")
+        return [block_of[row_map[first]] for _, row_map, _ in self.symmetries]
+
+    @cached_property
     def _orbit_counts(self) -> list[tuple[int, int]]:
         """One (representative block index, multiplicity) pair per orbit.
 
-        Each orbit grows breadth first from the lowest block in none yet,
-        along the blocks that the symmetries take its blocks' first rows to;
-        _image proves each block it adds the image of one already in it.
+        The orbits are the classes of the union-find that joins each block
+        to its proved targets; a class's root is its lowest block, so each
+        orbit is represented by its lowest block, and orbits come in
+        increasing order.
         """
-        blocks, first, block_of, _, _ = self._components
-        targets = [block_of[row_map[first]].tolist() for _, row_map, _ in self.symmetries]
-        seen, out = [False] * len(blocks), []
-        for rep in range(len(blocks)):
-            if seen[rep]:
-                continue
-            seen[rep], members = True, [rep]
-            for b in members:
-                for s, to in enumerate(targets):
-                    if to[b] < 0 or not seen[to[b]]:
-                        members.append(self._image(b, s)[0])
-                        seen[members[-1]] = True
-            out.append((rep, len(members)))
-        return out
-
-    def _image(self, b: int, s: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """The block that symmetry s maps block b onto, and b's rows and
-        columns as places in that block.
-
-        ValueError naming the pair unless every row and column of b lands in
-        that one block and every entry of b, repeats summed, on an equal
-        entry there.  Blocks have no empty row or column, so the two then
-        have equal ranks.
-        """
-        blocks, _, block_of, local, members = self._components
-        pair, row_map, col_map = self.symmetries[s]
-        (rows, cols), block = members[b], blocks[b]
-        row_img, col_img = row_map[rows], self.num_rows + col_map[cols]
-        c = int(block_of[row_img[0]])
-        if c >= 0 and (block_of[row_img] == c).all() and (block_of[col_img] == c).all():
-            rho, pi = local[row_img], local[col_img]
-            target = blocks[c]
-            keys, values = summed(target.rows * target.num_cols + target.cols, target.values)
-            got = summed(rho[block.rows] * target.num_cols + pi[block.cols], block.values)
-            if len(keys) == len(got[0]) and (keys == got[0]).all() and (values == got[1]).all():
-                return c, rho, pi
-        raise ValueError(f"transposition {pair} does not map a block onto one block "
-                         f"with the same entries")
+        ids = np.arange(len(self.blocks))
+        root = _union_find(len(ids), np.tile(ids, len(self.symmetries)),
+                           np.concatenate([ids[:0], *self._targets]))
+        reps, counts = np.unique(root, return_counts=True)
+        return list(zip(reps.tolist(), counts.tolist()))
 
     def residues(self, primes) -> np.ndarray:
         """The (rows, primes, cols) int64 stack of the matrix mod each prime."""
@@ -288,17 +281,19 @@ class StrandMatrix:
 
         The group G = Z2^t is generated by a maximal set of pairwise
         disjoint transpositions that map the block onto itself, kept
-        greedily in the order of `symmetries`; _image proves each, and
-        together they must act as commuting involutions, or ValueError.
+        greedily in the order of `symmetries`.  Their maps, already proved
+        on the whole matrix, are restricted to the block, and together they
+        must act as commuting involutions, or ValueError.
         milnor.symmetry cuts the pieces, whose ranks add up to the block's
         over Q and mod every odd prime; pieces without entries are dropped.
         """
-        blocks, first, block_of, _, _ = self._components
+        blocks, _, _, local, members = self._components
+        rows, cols = members[b]
         gens, moved = [], set()
-        for s, ((i, j), row_map, _) in enumerate(self.symmetries):
-            if i in moved or j in moved or block_of[row_map[first[b]]] != b:
+        for ((i, j), row_map, col_map), to in zip(self.symmetries, self._targets):
+            if i in moved or j in moved or to[b] != b:
                 continue
-            gens.append((*self._image(b, s)[1:], None))
+            gens.append((local[row_map[rows]], local[self.num_rows + col_map[cols]], None))
             moved |= {i, j}
         block = blocks[b]
         if not gens:

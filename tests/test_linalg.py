@@ -691,7 +691,8 @@ def test_generator_maps_act_on_the_columns(monkeypatch):
         assert len(sm.pieces) > len(sm.orbits) or k == 2  # k = 2: one column a block
         assert rank_mod_p(sm, p) == rank_exact(sm) == want
         assert sum(linalg._rank_bareiss(b) for b in sm.blocks) == want
-        # the exchange of g and h is a false claim, caught by the split
+        # the exchange of g and h is a false claim, caught when the
+        # symmetries are proved
         with pytest.raises(ValueError, match="transposition"):
             rank_mod_p(_claimed(sm, [g, h], {(0, 1): (1, 0)}), p)
     # three copies of a symmetric g: a 3-cycle of them keeps every entry,
@@ -808,7 +809,7 @@ def test_one_dense_rank_per_orbit(monkeypatch):
 
 
 # what StrandMatrix raises for a symmetry that does not map a block onto a
-# block with the same entries, in a join or a split
+# block with the same entries, found when its symmetries are proved
 NOT_A_BLOCK_MAP = "does not map a block onto one block with the same entries"
 
 
@@ -822,15 +823,25 @@ def test_false_symmetry_claim_raises():
         with pytest.raises(ValueError, match=NOT_A_BLOCK_MAP):
             _claimed(sm, partials, _gradient(4, (0, 1))).orbits
     # x1^5 breaks (1, 2) on CC(3,5); at k = 9 and 13 the strand is one block,
-    # which the claim maps onto itself, so only the split, taking it as a
-    # generator, sees it
+    # which the claim maps onto itself, so no join uses it, yet the proof on
+    # the whole strand sees it before the orbits or the split are taken
     partials = partial_derivatives(build(canonical_spec(3, 5))
                                    + parse_polynomial("x1^5", num_vars=4), 5)
     for k in (9, 13):
         sm = jacobian_strand_matrix(partials, k)
         assert len(sm.blocks) == 1 and _pairs(sm) == ((2, 3),)
         with pytest.raises(ValueError, match=NOT_A_BLOCK_MAP):
+            _claimed(sm, partials, _gradient(4, (1, 2))).orbits
+        with pytest.raises(ValueError, match=NOT_A_BLOCK_MAP):
             rank_mod_p(_claimed(sm, partials, _gradient(4, (1, 2))), 2147483029)
+    # one block of three cells, too small to split, which the swap maps onto
+    # itself: it sends (0, 0) = 1 onto (1, 1) = 3, so no rank may be taken
+    swap = [1, 0]
+    sm = StrandMatrix(2, 2, [0, 0, 1], [0, 1, 1], [1, 2, 3], symmetries=(((0, 1), swap, swap),))
+    for take in (lambda m: m.orbits, lambda m: rank_mod_p(m, 2147483029), certified_rank,
+                 rank_exact):
+        with pytest.raises(ValueError, match=r"transposition \(0, 1\) " + NOT_A_BLOCK_MAP):
+            take(replace(sm))
 
 
 def test_false_symmetry_claim_with_equal_shapes_raises():
@@ -889,9 +900,11 @@ def _involution(rng, groups, pairing):
 @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
 def test_claimed_involutions_never_change_a_rank(split, monkeypatch):
     """Random involutions claimed on block-diagonal matrices whose blocks
-    agree in shape, nnz and sorted values: each rank taken either raises
-    ValueError or equals the rank without the claim.  Most claims are
-    false; those that copy one block onto its twins are true."""
+    agree in shape, nnz and sorted values: each rank taken raises
+    ValueError exactly when some claimed map does not keep the summed
+    entries of the whole matrix, and otherwise equals the rank without the
+    claim.  Most claims are false; those that copy one block onto its twins
+    are true."""
     if split:
         monkeypatch.setattr(linalg, "SPLIT_CELLS", 0)
     rng = random.Random(2004)
@@ -920,13 +933,19 @@ def test_claimed_involutions_never_change_a_rank(split, monkeypatch):
                 claims.append((pair, _involution(rng, groups, pairing),
                                _involution(rng, groups, pairing)))
         claimed = replace(plain, symmetries=tuple(claims))
+        entries = summed(plain.rows * plain.num_cols + plain.cols, plain.values)
+        false = [pair for pair, row_map, col_map in claimed.symmetries if not all(
+            np.array_equal(a, b) for a, b in zip(entries, summed(
+                row_map[plain.rows] * plain.num_cols + col_map[plain.cols], plain.values)))]
         for rank, want in ((lambda m: rank_mod_p(m, p), rank_mod_p(plain, p)),
                            (lambda m: certified_rank(m).rank, rank_exact(plain))):
             try:
                 got = rank(replace(claimed))
             except ValueError:
+                assert false, (trial, claims)
                 outcomes.add("raised")
                 continue
+            assert not false, (trial, claims)
             assert got == want, (trial, claims)
             outcomes.add("ranked")
     assert outcomes == {"raised", "ranked"}
