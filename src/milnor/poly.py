@@ -43,14 +43,7 @@ class SparsePolynomial:
                     )
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in {tuple(mono)}")
-                if mono in clean:
-                    coeff = clean[mono] + coeff
-                    if coeff:
-                        clean[mono] = coeff
-                    else:
-                        del clean[mono]
-                else:
-                    clean[mono] = coeff
+                _add_term(clean, mono, coeff)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -103,16 +96,10 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
         result = SparsePolynomial(self.num_vars)
-        result.terms = out
+        result.terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            _add_term(result.terms, mono, coeff)
         return result
 
     def __neg__(self):
@@ -129,19 +116,10 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return self.scale(other)
         self._check_ring(other)
-        out: dict[Monomial, object] = {}
+        result = SparsePolynomial(self.num_vars)
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                prod = c1 * c2
-                acc = out.get(mono)
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        result = SparsePolynomial(self.num_vars)
-        result.terms = out
+                _add_term(result.terms, m1 * m2, c1 * c2)
         return result
 
     def __rmul__(self, other):
@@ -198,44 +176,24 @@ class SparsePolynomial:
             if not 0 <= i < self.num_vars:
                 raise ValueError(f"variable index {i} out of range")
         out = SparsePolynomial(self.num_vars)
-        acc: dict[Monomial, object] = {}
         for mono, coeff in self.terms.items():
             new_exp = list(mono)
             for i, value in assignments.items():
-                e = mono[i]
-                if e:
-                    for _ in range(e):
-                        coeff = coeff * value
-                    new_exp[i] = 0
-            if not coeff:
-                continue
-            key = Monomial(new_exp)
-            prev = acc.get(key)
-            prev = coeff if prev is None else prev + coeff
-            if prev:
-                acc[key] = prev
-            else:
-                acc.pop(key, None)
-        out.terms = acc
+                for _ in range(mono[i]):
+                    coeff = coeff * value
+                new_exp[i] = 0
+            _add_term(out.terms, Monomial(new_exp), coeff)
         return out
 
     def embed(self, num_vars: int, var_map: dict[int, int]) -> SparsePolynomial:
         """Relabel variables into a (possibly larger) ring; var_map is old -> new."""
-        out: dict[Monomial, object] = {}
+        result = SparsePolynomial(num_vars)
         for mono, coeff in self.terms.items():
             exp = [0] * num_vars
             for old, e in enumerate(mono):
                 if e:
                     exp[var_map[old]] += e
-            key = Monomial(exp)
-            prev = out.get(key)
-            prev = coeff if prev is None else prev + coeff
-            if prev:
-                out[key] = prev
-            else:
-                out.pop(key, None)
-        result = SparsePolynomial(num_vars)
-        result.terms = out
+            _add_term(result.terms, Monomial(exp), coeff)
         return result
 
     def partial_derivative(self, i: int) -> SparsePolynomial:
@@ -258,6 +216,16 @@ class SparsePolynomial:
 
     def __repr__(self) -> str:
         return f"<poly {self.text()}>"
+
+
+def _add_term(terms: dict, mono: Monomial, coeff) -> None:
+    """Add coeff into terms[mono], dropping the monomial if the sum is zero."""
+    acc = terms.get(mono)
+    acc = coeff if acc is None else acc + coeff
+    if acc:
+        terms[mono] = acc
+    else:
+        terms.pop(mono, None)
 
 
 # -- homogenization ----------------------------------------------------------
@@ -466,11 +434,5 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> SparsePolynomial
         value = sgn * coeff
         if value.denominator == 1:
             value = int(value)
-        mono = Monomial(exps.get(i, 0) for i in range(num_vars))
-        prev = acc.get(mono)
-        prev = value if prev is None else prev + value
-        if prev:
-            acc[mono] = prev
-        else:
-            acc.pop(mono, None)
+        _add_term(acc, Monomial(exps.get(i, 0) for i in range(num_vars)), value)
     return SparsePolynomial(num_vars, acc)

@@ -140,3 +140,75 @@ def test_piece_ranks_sum_to_the_whole_rank():
         pieces = _dense_pieces(split, m)
         assert sum(rank_dense_modp(piece, P) for piece in pieces) == \
             rank_dense_modp(m % P, P), trial
+
+
+def test_cut_promotes_sums_past_int64():
+    # one generator fixes row 0 and swaps columns 0 and 1: the trivial
+    # piece sums the two entries, 2^63, one past the largest int64
+    split = CharacterSplit((1, 2), [(np.array([0]), np.array([1, 0]), None)])
+    values = np.array([2**62, 2**62], dtype=np.int64)
+    pieces = split.cut(np.array([0, 0]), np.array([0, 1]), values)
+    assert len(pieces) == 1  # the sign piece keeps no row
+    height, width, rows, cols, sums = pieces[0]
+    assert (height, width, rows.tolist(), cols.tolist()) == (1, 1, [0], [0])
+    assert sums.tolist() == [2**63] and type(sums[0]) is int
+
+
+def _reference_split(shape, generators, m):
+    """characters, keep_rows, keep_cols, row_reps and the pieces of m from
+    the whole group, listed by composing the generators: element g (the
+    product of the generators in its bits) maps point i (row i, or column
+    i - height) to images[g, i] with sign signs[g, i]."""
+    height, width = shape
+    images, signs = [np.arange(height + width)], [np.ones(height + width, np.int64)]
+    for rho, pi, sign in generators:
+        image = np.concatenate((rho, height + pi))
+        sign = np.concatenate((np.ones(height, np.int64), sign))
+        images, signs = (images + [image[i] for i in images],
+                         signs + [s * sign[i] for i, s in zip(images, signs)])
+    images, signs = np.array(images), np.array(signs)
+    size = len(images)
+    chi = np.array([[(-1) ** (x & g).bit_count() for g in range(size)] for x in range(size)])
+    least = images.min(axis=0)
+    # x keeps a least point when chi_x(g) is the sign of each g fixing it
+    fixes = images == np.arange(height + width)
+    keep = ((chi[:, :, None] == signs) | ~fixes).all(axis=1) & (least == np.arange(height + width))
+    keep_rows, keep_cols = keep[:, :height], keep[:, height:]
+    characters = [tuple(x >> s & 1 for s in range(len(generators))) for x in range(size)]
+    # column c enters the column of its orbit's least with chi_x(g) times
+    # the sign of g at c, for the first g that carries it there
+    carry = (images[:, height:] == least[height:]).argmax(axis=0)
+    pieces = []
+    for x in range(size):
+        rows, cols = keep_rows[x].nonzero()[0], keep_cols[x].nonzero()[0]
+        piece = np.zeros((len(rows), len(cols)), dtype=object)
+        for c in range(width):
+            at = np.flatnonzero(cols == least[height + c] - height)
+            g = carry[c]
+            if at.size:
+                piece[:, at[0]] += chi[x, g] * signs[g, height + c] * m[rows, c].astype(object)
+        r, c = np.nonzero(piece)
+        if r.size:
+            pieces.append((len(rows), len(cols), r.tolist(), c.tolist(), piece[r, c].tolist()))
+    return characters, keep_rows, keep_cols, keep_rows.any(axis=0).nonzero()[0], pieces
+
+
+def test_split_matches_the_whole_group_up_to_five_generators():
+    rng = random.Random(22)
+    np_rng = np.random.default_rng(22)
+    for trial in range(30):
+        t = trial % 5 + 1
+        rows = _random_action(rng, t, signed=False)
+        cols = _random_action(rng, t, signed=True)
+        generators = [(rho, pi, sign) for (rho, _), (pi, sign) in zip(rows, cols)]
+        shape = (len(rows[0][0]), len(cols[0][0]))
+        m = _symmetrized(generators, np_rng.integers(-3, 4, shape))
+        characters, keep_rows, keep_cols, row_reps, pieces = _reference_split(
+            shape, generators, m)
+        split = CharacterSplit(shape, generators)
+        assert split.characters == characters, trial
+        assert (split.keep_rows == keep_rows).all() and (split.keep_cols == keep_cols).all(), trial
+        assert split.row_reps.tolist() == row_reps.tolist(), trial
+        got = [(h, w, r.tolist(), c.tolist(), np.asarray(v).tolist())
+               for h, w, r, c, v in split.cut(*np.nonzero(m), m[np.nonzero(m)])]
+        assert got == pieces, trial
