@@ -44,10 +44,9 @@ piece gets one of two engines:
     chunks at most 64 deep from a Python loop, too shallow for a second
     thread to help, and between them a BLAS worker thread only spins, so
     its CPU time buys nothing.  milnor's parallelism is the --jobs process
-    pool, whose workers run the same products.  A piece is ranked mod a
-    batch of primes at once: its residues form one (rows, primes, cols)
-    stack, and every prime is eliminated with the same pivot rows.  It
-    ranks every piece of CC(4,4) and CC(3,5);
+    pool, whose workers run the same products.  A strand's dense pieces
+    mod all its primes share one Python step per column.  It ranks every
+    piece of CC(4,4) and CC(3,5);
   * sparse Markowitz elimination that escapes to the dense kernel when the
     active submatrix fills in, for the large sparse pieces: of the inputs
     surveyed, those of CC(4,5) at k >= 14 and CC(4,6) at k >= 20.  On the
@@ -67,7 +66,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from math import lcm
 
 import numpy as np
@@ -80,12 +79,12 @@ from .symmetry import CharacterSplit, summed
 # pieces go straight to the dense kernel and the rest to Markowitz elimination.
 # Markowitz elimination hands its active submatrix to the dense kernel once
 # it has at most DENSE_COLS columns or a density above ESCAPE_DENSITY; the
-# dense kernel takes DENSE_PANEL columns per panel.  A dense piece is
-# stacked with as many primes as keep rows x primes x cols within
-# STACK_CELLS (at least one), so large pieces keep one prime at a time and
-# their peak memory does not grow with the prime count.  An orbit
-# representative below SPLIT_CELLS cells is ranked whole: cutting it into
-# character pieces costs more than the smaller eliminations save.
+# dense kernel takes DENSE_PANEL columns per panel.  A strand's dense
+# (piece, prime) pairs go to it in as few calls as keep their cells within
+# STACK_CELLS (at least one pair a call), so peak memory does not grow with
+# the prime count.  An orbit representative below SPLIT_CELLS cells is
+# ranked whole: cutting it into character pieces costs more than the
+# smaller eliminations save.
 DENSE_COLS = 700
 DENSE_DENSITY = 0.02
 ESCAPE_DENSITY = 0.04
@@ -96,9 +95,11 @@ SPLIT_CELLS = 1 << 12
 # Certification cutoffs, applied by certified_rank: a matrix of at most
 # EXACT_VERIFY_COLS columns is always ranked exactly, and one of at most
 # EXACT_FALLBACK_COLS columns when the primes disagree.  cache_key hashes
-# both, since they decide method, exact_verified and certified.
+# both, since they decide method, exact_verified and certified.  RankConfig
+# refuses more than MAX_PRIMES primes: (2^30, 2^31) holds only about 5e7.
 EXACT_VERIFY_COLS = 48
 EXACT_FALLBACK_COLS = 2000
+MAX_PRIMES = 1000
 
 
 # -- strand matrices -----------------------------------------------------------
@@ -265,15 +266,15 @@ class StrandMatrix:
         return list(zip(reps.tolist(), counts.tolist()))
 
     def residues(self, primes) -> np.ndarray:
-        """The (rows, primes, cols) int64 stack of the matrix mod each prime."""
+        """The (primes, rows, cols) int64 stack of the matrix mod each prime."""
         vals = _residues(self.values, primes)
-        out = np.zeros((self.num_rows, len(primes), self.num_cols), dtype=np.int64)
+        out = np.zeros((len(primes), self.num_rows, self.num_cols), dtype=np.int64)
         flat = np.sort(self.rows * self.num_cols + self.cols)
         if (flat[1:] != flat[:-1]).all():
-            out[self.rows, :, self.cols] = vals
+            out[:, self.rows, self.cols] = vals
         else:  # repeated positions add up
-            np.add.at(out, (self.rows, slice(None), self.cols), vals)
-            out %= np.array(primes, dtype=np.int64)[:, None]
+            np.add.at(out, (slice(None), self.rows, self.cols), vals)
+            out %= np.array(primes, dtype=np.int64)[:, None, None]
         return out
 
     def _split(self, b: int) -> list[StrandMatrix]:
@@ -369,8 +370,8 @@ def _integer_array(values) -> np.ndarray:
 
 
 def _residues(values: np.ndarray, primes) -> np.ndarray:
-    """The (len(values), len(primes)) int64 table of values mod each prime."""
-    out = values[:, None] % np.array(primes, dtype=np.int64)
+    """The (len(primes), len(values)) int64 table of values mod each prime."""
+    out = values % np.array(primes, dtype=np.int64)[:, None]
     return out.astype(np.int64, copy=False)
 
 
@@ -533,89 +534,86 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rank_dense_modp(a: np.ndarray, p):
-    """Rank of an int64 matrix mod p < 2^31; entries must lie in [0, p).
+def rank_dense_modp(blocks) -> list[int]:
+    """The rank of each (a, p) in blocks: a 2-D int64 matrix with entries in
+    [0, p), ranked mod its own prime p < 2^31 and not changed.  A block
+    whose narrower side fits in a DENSE_PANEL panel takes it as its width;
+    a wider one goes a panel per round, its shorter side as rows (_panel)."""
+    ranks = [0] * len(blocks)
+    todo = [(i, a, p) for i, (a, p) in enumerate(blocks)]
+    while todo := [(i, a, p) for i, a, p in todo if a.size]:
+        _panel([(i, a.T if a.shape[1] > a.shape[0] else a, p)
+                for i, a, p in todo if min(a.shape) <= DENSE_PANEL], ranks)
+        todo = _panel([(i, a.T if a.shape[0] > a.shape[1] else a, p)
+                       for i, a, p in todo if min(a.shape) > DENSE_PANEL], ranks)
+    return ranks
 
-    Given instead a (rows, primes, cols) stack and a sequence of primes p,
-    with a[:, j] reduced mod p[j], returns the list of ranks mod each
-    prime, eliminating them all in one lockstep pass.  The input is not
-    changed.
+
+def _panel(blocks, ranks: list[int]) -> list:
+    """Eliminate the first panel of each (index, a, p) block, add its pivots
+    to ranks[index] and return (index, Schur complement, p) for the blocks
+    wider than the panel; the blocks all fit one panel or are all wider.
+
+    The blocks are row ranges of one int64 work array.  Each column is one
+    step for all: in every block the first row nonzero there is the pivot,
+    and each other row nonzero there becomes pivot * row - row[c] *
+    pivot_row mod the row's prime (no inverse; products stay below 2^62).
+    A wide block keeps row i as s_i a_i + y_i a_P, a_P its rows as given:
+    the pivot of column c moves its scale s into y[c].  Each s_i is a
+    product of pivots, nonzero mod p, so the rank is the pivot count plus
+    that of the free rows' s_i a_i + y_i a_P on the later columns.
     """
-    if a.ndim == 2:
-        return _rank_stack(a[:, None, :], (p,))[0]
-    return _rank_stack(a, tuple(p))
-
-
-def _rank_stack(a: np.ndarray, primes: tuple[int, ...]) -> list[int]:
-    """Ranks of the (rows, primes, cols) stack a, a[:, j] mod primes[j].
-
-    Takes DENSE_PANEL columns at a time.  The panel is eliminated in int64
-    (every product stays below 2^62) over the rows with no pivot yet, and
-    each row operation is also applied to a record y, with y[r, k] = 1 when
-    row r becomes the k-th pivot.  A row i left without a pivot is then
-    a_i + y_i a_P on the later columns, a_P the pivot rows, so the rank is
-    the pivot count plus the rank of that Schur complement, which takes one
-    matmul_modp per panel and prime.
-
-    Every prime pivots on the same row: the first free one that is nonzero
-    mod all of them.  Rows nonzero mod only some primes are reduced mod
-    those, so each prime sees its own elimination and all share one rank.
-    A column with a candidate mod some prime but no row nonzero mod all of
-    them splits the stack: each prime then ranks the panel's input alone.
-    """
-    mod = np.array(primes, dtype=np.int64)
-    rank = 0
-    while a.shape[0] and a.shape[2]:
-        m, n = a.shape[0], a.shape[2]
-        b = min(DENSE_PANEL, n)
-        work = np.zeros((m, len(primes), 2 * b), dtype=np.int64)  # panel | y
-        work[:, :, :b] = a[:, :, :b]
-        free = np.ones(m, dtype=bool)
-        pivots: list[int] = []
-        for c in range(b):
-            # pivot rows are zeroed once used, so only free rows show here;
-            # residues are >= 0, so max and min over the primes test them
-            column = work[:, :, c]
-            if not np.count_nonzero(column):
-                continue
-            rows = np.maximum.reduce(column, axis=1).nonzero()[0]
-            common = np.minimum.reduce(column[rows], axis=1) != 0
-            if common[0]:
-                r, rest = rows[0], rows[1:]
-            elif common.any():
-                i = common.argmax()
-                r, rest = rows[i], np.delete(rows, i)
+    if not blocks:
+        return []
+    b = min(DENSE_PANEL, max(a.shape[1] for _, a, _ in blocks))
+    wide = blocks[0][1].shape[1] > b  # then s is column b and y follows
+    starts = np.cumsum([0] + [a.shape[0] for _, a, _ in blocks]).tolist()
+    work = np.zeros((starts[-1], 2 * b + 1 if wide else b), dtype=np.int64)
+    for (_, a, _), lo, hi in zip(blocks, starts, starts[1:]):
+        work[lo:hi, : min(b, a.shape[1])] = a[:, :b]
+    work[:, b : b + 1] = 1  # the scales s; a narrow panel has no column b
+    mod = np.repeat([p for _, _, p in blocks], np.diff(starts))
+    p = blocks[0][2] if (mod == blocks[0][2]).all() else 0
+    owner = np.repeat(np.arange(len(blocks)), np.diff(starts))
+    taken = np.full(len(owner), -1)  # the column each pivot row was taken in
+    for c in range(b):
+        column = work[:, c]
+        rows = column.nonzero()[0]
+        if not rows.size:
+            continue
+        of = owner[rows]
+        if of[0] == of[-1]:  # one block: its first row is the others' pivot
+            pivots, rest, pivot_of = rows[:1], rows[1:], rows[0]
+        else:
+            first = np.concatenate(([True], of[1:] != of[:-1]))
+            pivots, later = rows[first], ~first
+            rest, pivot_of = rows[later], np.maximum.accumulate(rows * first)[later]
+        taken[pivots] = c
+        if wide:
+            work[pivots, b + 1 + c] = work[pivots, b]
+            work[pivots, b] = 0
+        if rest.size:
+            sub = work[rest, c + 1 :]
+            sub *= column[pivot_of, None]
+            sub -= work[pivot_of, c + 1 :] * column[rest, None]
+            if p:  # one divisor: numpy's x // p is far faster than x % p
+                sub -= sub // p * p
             else:
-                return [rank + _rank_stack(a[:, j : j + 1], (p,))[0]
-                        for j, p in enumerate(primes)]
-            pivot = work[r]
-            pivot[:, b + len(pivots)] = 1
-            if rest.size:
-                inv = [pow(v, -1, p) for v, p in zip(pivot[:, c].tolist(), primes)]
-                sub = work[rest, :, c:]
-                f = sub[:, :, 0] * np.array(inv, dtype=np.int64) % mod
-                sub -= f[:, :, None] * pivot[:, c:]
-                sub %= mod[:, None]
-                work[rest, :, c:] = sub
-            pivot[:] = 0
-            free[r] = False
-            pivots.append(r)
-            if len(pivots) == m:
-                break
-        rank += len(pivots)
-        rest = np.flatnonzero(free)
-        if rest.size == 0 or b == n:
-            break
-        schur = [matmul_modp(work[rest, j, b : b + len(pivots)], a[pivots, j, b:], p)
-                 for j, p in enumerate(primes)]
-        # a stack of one takes its product as it is: large blocks come one
-        # prime at a time, and a copy would add to their peak memory
-        a_next = schur[0][:, None] if len(schur) == 1 else np.stack(schur, axis=1)
-        del schur
-        a_next += a[rest, :, b:]
-        a_next %= mod[:, None]
-        a = a_next
-    return [rank] * len(primes)
+                sub %= mod[rest, None]
+            work[rest, c + 1 :] = sub
+        work[pivots, c + 1 :] = 0
+    for (i, _, _), n in zip(blocks, np.bincount(owner[taken >= 0], minlength=len(blocks))):
+        ranks[i] += int(n)
+    if not wide:
+        return []
+    out = []
+    for (i, a, p), lo, hi in zip(blocks, starts, starts[1:]):
+        free, pivots = np.flatnonzero(taken[lo:hi] < 0), np.flatnonzero(taken[lo:hi] >= 0)
+        schur = work[lo + free, b : b + 1] * a[free, b:]
+        schur += matmul_modp(work[np.ix_(lo + free, b + 1 + taken[lo + pivots])], a[pivots, b:], p)
+        schur -= schur // p * p
+        out.append((i, schur, p))
+    return out
 
 
 # -- sparse Markowitz elimination ---------------------------------------------------
@@ -706,7 +704,7 @@ def _dense_escape(rows, alive_cols, p: int) -> int:
     for i, row in enumerate(live):
         for c, v in row.items():
             a[i, col_pos[c]] = v
-    return rank_dense_modp(a, p)
+    return rank_dense_modp([(a, p)])[0]
 
 
 # -- Wiedemann blackbox ---------------------------------------------------------------
@@ -746,17 +744,13 @@ def berlekamp_massey_modp(seq, p: int) -> np.ndarray:
             delta = int(s[i]) % p
         if delta == 0:
             m += 1
-        elif 2 * length <= i:
-            told = cpoly.copy()
-            coef = delta * pow(b, -1, p) % p
-            cpoly[m : len(s) + 1] = (cpoly[m : len(s) + 1] - coef * bpoly[: len(s) + 1 - m]) % p
-            length = i + 1 - length
-            bpoly = told
-            b = delta
-            m = 1
+            continue
+        told = cpoly.copy()
+        coef = delta * pow(b, -1, p) % p
+        cpoly[m : len(s) + 1] = (cpoly[m : len(s) + 1] - coef * bpoly[: len(s) + 1 - m]) % p
+        if 2 * length <= i:
+            length, bpoly, b, m = i + 1 - length, told, delta, 1
         else:
-            coef = delta * pow(b, -1, p) % p
-            cpoly[m : len(s) + 1] = (cpoly[m : len(s) + 1] - coef * bpoly[: len(s) + 1 - m]) % p
             m += 1
     return cpoly[: length + 1]
 
@@ -862,11 +856,7 @@ def rank_gaussian_field(rows: list[list], zero=None) -> int:
     n = len(rows[0])
     rank = 0
     for c in range(n):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
@@ -902,8 +892,8 @@ class RankConfig:
     seed: int | str = 0
 
     def __post_init__(self):
-        if self.primes < 1:
-            raise ValueError(f"primes must be at least 1, not {self.primes}")
+        if not 1 <= self.primes <= MAX_PRIMES:
+            raise ValueError(f"primes must be in 1..{MAX_PRIMES}, not {self.primes}")
 
 
 @dataclass
@@ -954,9 +944,34 @@ def ranks_mod_primes(matrix: StrandMatrix, primes) -> list[int]:
 
 
 def _piece_ranks(matrix: StrandMatrix, primes) -> list[list[int]]:
-    """Each piece's rank mod each prime, in the order of matrix.pieces."""
+    """Each piece's rank mod each prime, in the order of matrix.pieces.
+    Markowitz takes a sparse piece one prime at a time; the dense (piece,
+    prime) pairs go to rank_dense_modp in as few calls as keep their cells
+    within STACK_CELLS."""
     primes = tuple(primes)
-    return [_block_ranks(piece, primes) for piece, _ in matrix.pieces]
+    out, calls, cells = [], [[]], 0
+    for i, (piece, _) in enumerate(matrix.pieces):
+        if _engine(piece) == "sparse":
+            out.append([rank_sparse_modp(piece.num_rows, piece.num_cols, piece.rows,
+                                         piece.cols, vals, p)
+                        for p, vals in zip(primes, _residues(piece.values, primes))])
+            continue
+        out.append([0] * len(primes))
+        size = piece.num_rows * piece.num_cols
+        for j in range(len(primes)):
+            if calls[-1] and cells + size > STACK_CELLS:
+                calls.append([])
+                cells = 0
+            calls[-1].append((i, j))
+            cells += size
+    for call in calls:
+        blocks = []
+        for i, pairs in groupby(call, key=lambda pair: pair[0]):
+            ps = [primes[j] for _, j in pairs]
+            blocks += zip(matrix.pieces[i][0].residues(ps), ps)
+        for (i, j), rank in zip(call, rank_dense_modp(blocks)):
+            out[i][j] = rank
+    return out
 
 
 def _totals(matrix: StrandMatrix, piece_ranks, num_primes: int) -> list[int]:
@@ -971,21 +986,6 @@ def _totals(matrix: StrandMatrix, piece_ranks, num_primes: int) -> list[int]:
 def rank_mod_p(matrix: StrandMatrix, p: int) -> int:
     """Rank mod p: ranks_mod_primes for the one prime."""
     return ranks_mod_primes(matrix, (p,))[0]
-
-
-def _block_ranks(block: StrandMatrix, primes: tuple[int, ...]) -> list[int]:
-    """A block's rank mod each prime.  Dense blocks take the primes in
-    stacks within STACK_CELLS; Markowitz takes one prime at a time."""
-    if _engine(block) == "sparse":
-        return [rank_sparse_modp(block.num_rows, block.num_cols, block.rows,
-                                 block.cols, vals, p)
-                for p, vals in zip(primes, _residues(block.values, primes).T)]
-    ranks = []
-    per = max(1, STACK_CELLS // (block.num_rows * block.num_cols))
-    for i in range(0, len(primes), per):
-        batch = primes[i : i + per]
-        ranks += rank_dense_modp(block.residues(batch), batch)
-    return ranks
 
 
 def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,

@@ -333,9 +333,10 @@ def _evaluation_rank(matrix: EvaluationMatrix, config: OracleConfig,
     piece is done once its best rank is min(rows, cols), or once it has
     been ranked mod more than _bad_prime_bound(best + 1, its column
     degrees) primes, so no larger rank survives.  Each prime evaluates
-    only the rows and columns of the pieces still open, and every drawn
-    prime counts: each has an element of order 2d.  The flips fix every
-    column, so a piece is its rows and columns of the matrix.
+    only the rows and columns of the pieces still open and ranks them all
+    in one rank_dense_modp call, and every drawn prime counts: each has an
+    element of order 2d.  The flips fix every column, so a piece is its
+    rows and columns of the matrix.
     """
     rng = random.Random(f"{config.seed}|{salt}")
     phi = matrix.field.phi
@@ -354,12 +355,13 @@ def _evaluation_rank(matrix: EvaluationMatrix, config: OracleConfig,
         cols = np.unique(np.concatenate([t[2] for t in todo]))
         arr = matrix.rows_modp(p, rows, cols)
         primes.append(p)
+        subs = [(arr[np.ix_(np.searchsorted(rows, block_rows),
+                            np.searchsorted(cols, block_cols))], p)
+                for _, block_rows, block_cols, _ in todo]
         still_open = []
-        for block in todo:
-            rec, block_rows, block_cols, block_degrees = block
-            sub = arr[np.ix_(np.searchsorted(rows, block_rows),
-                             np.searchsorted(cols, block_cols))]
-            rec.ranks.append(rank_dense_modp(sub, p))
+        for block, rank in zip(todo, rank_dense_modp(subs)):
+            rec, _, _, block_degrees = block
+            rec.ranks.append(rank)
             rec.primes.append(p)
             rec.rank = max(rec.ranks)
             if rec.rank < min(rec.shape) and len(rec.primes) <= \

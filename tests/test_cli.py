@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from conftest import FERMAT_TEXT, KUMMER_TEXT
 from milnor import cli
 from milnor.cli import main
+from milnor.linalg import MAX_PRIMES
 
 
 @pytest.fixture(autouse=True)
@@ -276,6 +278,20 @@ def test_rank_options_validated(capsys):
     assert code == 1 and "--primes" in err
     code, _, err = run(["analyze", FERMAT_TEXT, "--dense-threshold", "-5"], capsys)
     assert code == 1 and "--dense-threshold" in err
+
+
+def test_prime_count_above_the_cap_fails_at_once(capsys):
+    # (2^30, 2^31) holds about 5 * 10^7 primes, so a draw of 2 * 10^9
+    # distinct ones would never return
+    start = time.perf_counter()
+    code, _, err = run(["analyze", "x0^3+x1^3+x2^3", "--no-cache",
+                        "--primes", "2000000000"], capsys)
+    assert code == 1
+    assert f"primes must be in 1..{MAX_PRIMES}" in err
+    assert time.perf_counter() - start < 5
+    code, _, _ = run(["analyze", "x0^3+x1^3+x2^3", "--no-cache", "--primes",
+                      str(MAX_PRIMES + 1)], capsys)
+    assert code == 1
 
 
 def test_usage_errors_exit_one(capsys):

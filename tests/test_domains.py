@@ -39,6 +39,37 @@ def test_primality_known_large():
     assert is_probable_prime(1_000_000_007)
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the Miller-Rabin test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_primality_four_bases_below_their_bound():
+    # 3,215,031,751 = 151 * 751 * 28351, the least strong pseudoprime to
+    # bases 2, 3, 5 and 7 together, is where those four stop deciding
+    n = 3_215_031_751
+    assert 151 * 751 * 28351 == n
+    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7))
+    assert not is_probable_prime(n)
+    # the primes drawn from [2^30, 2^31) get the verdicts of all twelve bases
+    rng = random.Random(23)
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for _ in range(20000):
+        n = rng.randrange((1 << 30) | 1, 1 << 31, 2)
+        want = all(n % a for a in bases) and all(_strong_probable_prime(n, a) for a in bases)
+        assert is_probable_prime(n) == want, n
+
+
 def test_random_prime_windows_and_determinism():
     rng = random.Random(42)
     ps = draw_distinct_primes(rng, 5)

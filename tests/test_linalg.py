@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -193,7 +194,7 @@ def _dense_ranks_match_naive(monkeypatch, a, p, panels=(1, 2, 5, 48)):
     for panel in panels:
         monkeypatch.setattr(linalg, "DENSE_PANEL", panel)
         before = arr.copy()
-        assert rank_dense_modp(arr, p) == want
+        assert rank_dense_modp([(arr, p)]) == [want]
         assert np.array_equal(arr, before)
     return want
 
@@ -227,8 +228,9 @@ def test_dense_rank_degenerate_shapes(monkeypatch):
         a = random_matrix(rng, m, n, p, density=0.5)
         _dense_ranks_match_naive(monkeypatch, a, p)
         assert _dense_ranks_match_naive(monkeypatch, [[0] * n] * m, p) == 0
-    assert rank_dense_modp(np.zeros((0, 5), dtype=np.int64), p) == 0
-    assert rank_dense_modp(np.zeros((5, 0), dtype=np.int64), p) == 0
+    assert rank_dense_modp([(np.zeros((0, 5), dtype=np.int64), p),
+                            (np.zeros((5, 0), dtype=np.int64), p)]) == [0, 0]
+    assert rank_dense_modp([]) == []
 
 
 def test_dense_rank_largest_residues(monkeypatch):
@@ -254,31 +256,75 @@ def test_dense_rank_one_matmul_per_panel(monkeypatch):
     for panel in (7, 48):
         monkeypatch.setattr(linalg, "DENSE_PANEL", panel)
         calls.clear()
-        assert rank_dense_modp(a, p) == 90
+        assert rank_dense_modp([(a, p)]) == [90]
         # every row holds a pivot after ceil(90 / panel) panels, and the
         # last of them leaves no Schur complement to form
         assert len(calls) == -(-90 // panel) - 1
 
 
-def test_split_off_primes(monkeypatch):
-    """A column nonzero mod some primes of a stack but with no row nonzero
-    mod all of them makes each prime rank alone, as a stack of one."""
+@pytest.mark.parametrize("panel", [5, linalg.DENSE_PANEL])
+def test_dense_blocks_match_naive(monkeypatch, panel):
+    """One rank_dense_modp call ranks a list of blocks, each mod its own
+    prime, as the naive elimination ranks each block alone, whatever the
+    order of the list or the calls it is cut into."""
+    monkeypatch.setattr(linalg, "DENSE_PANEL", panel)
+    rng = random.Random(panel)
+    big = (1 << 31) - 1
+    primes = (101, 65537, 2147483029, big)
+    blocks = []
+    # narrower sides below, at and above the panel and past twice it; each
+    # shape also comes transposed, and the larger ones as products of rank
+    # at most 3
+    for width in (0, 1, panel - 1, panel, panel + 1, 2 * panel + 3):
+        for height in (0, 2, width + 4):
+            p = rng.choice(primes)
+            cap = 3 if height > 2 and width > panel else None
+            a = np.array(random_matrix(rng, height, width, p, rank_cap=cap,
+                                       density=rng.uniform(0.2, 1)),
+                         dtype=np.int64).reshape(height, width)
+            blocks += [(a, p), (a.T.copy(), p)]
+    # full rank across several panels, and the largest residues
+    a = random_matrix(rng, 2 * panel + 5, 2 * panel + 3, big)
+    blocks.append((np.array(a, dtype=np.int64), big))
+    blocks.append((np.full((panel + 2, panel + 3), big - 1, dtype=np.int64), big))
+    blocks.append((np.array([[rng.randrange(big - 8, big) for _ in range(panel + 4)]
+                             for _ in range(panel + 6)], dtype=np.int64), big))
+    # a short block of rank 3 whose entries all lie past the first panel, and
+    # its transpose: only the short side taken as the width finds them
+    a = np.zeros((3, 2 * panel + 3), dtype=np.int64)
+    a[:, -3:] = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    blocks += [(a, 101), (a.T.copy(), 101)]
+    # one matrix under two primes: its determinant 2147483029 vanishes mod
+    # the first only
+    a = np.array([[1, 1], [1, 2147483030]], dtype=np.int64)
+    blocks += [(a % 2147483029, 2147483029), (a % 2147482801, 2147482801)]
+    want = [naive_rank_modp(a.tolist(), p) if a.size else 0 for a, p in blocks]
+    assert want[-2:] == [1, 2]
+    assert any(0 < r < min(a.shape) for r, (a, _) in zip(want, blocks))
+    before = [a.copy() for a, _ in blocks]
+    assert rank_dense_modp(blocks) == want
+    assert all(np.array_equal(a, b) for (a, _), b in zip(blocks, before))
+    order = list(range(len(blocks)))
+    for _ in range(3):
+        rng.shuffle(order)
+        got = rank_dense_modp([blocks[i] for i in order])
+        assert got == [want[i] for i in order]
+        cut = sorted(rng.sample(range(1, len(order)), 4))
+        parts = [order[i:j] for i, j in zip([0, *cut], [*cut, len(order)])]
+        got = [r for part in parts for r in rank_dense_modp([blocks[i] for i in part])]
+        assert got == [want[i] for i in order]
+
+
+def test_primes_rank_apart():
+    """A matrix whose rank differs between two primes gets each prime's
+    rank, from a strand that packs both primes into one kernel call and
+    from such a call made directly."""
     p0, p1 = 2147483029, 2147482801
-    stacks = []
-    original = linalg._rank_stack
-
-    def spy(a, primes):
-        stacks.append(primes)
-        return original(a, primes)
-
-    monkeypatch.setattr(linalg, "_rank_stack", spy)
     for a in ([[p0, 1], [p1, 1]], [[p0]]):
         want = [naive_rank_modp(a, p0), naive_rank_modp(a, p1)]
-        stacks.clear()
         assert ranks_mod_primes(to_triplets(a), (p0, p1)) == want
-        assert stacks == [(p0, p1), (p0,), (p1,)]
-        stack = np.stack([np.array(a, dtype=np.int64) % p for p in (p0, p1)], axis=1)
-        assert rank_dense_modp(stack, (p0, p1)) == want
+        blocks = [(np.array(a, dtype=np.int64) % p, p) for p in (p0, p1)]
+        assert rank_dense_modp(blocks) == want
     assert want == [0, 1]
 
 
@@ -771,7 +817,7 @@ def test_split_ranks_equal_block_sums_for_odd_degree(n, d, monkeypatch):
         sm = jacobian_strand_matrix(partials, k)
         blocks = sm.blocks
         assert len(sm.orbits) == len(blocks)
-        whole = [linalg._block_ranks(b, primes) for b in blocks]
+        whole = [ranks_mod_primes(b, primes) for b in blocks]
         assert ranks_mod_primes(sm, primes) == [sum(ranks[j] for ranks in whole)
                                                 for j in range(len(primes))]
         if sm.num_cols <= 48:
@@ -784,28 +830,37 @@ def test_split_ranks_equal_block_sums_for_odd_degree(n, d, monkeypatch):
     assert sum(p.num_cols for p, _ in sm.pieces) == sum(b.num_cols for b in blocks)
 
 
-def test_one_dense_rank_per_orbit(monkeypatch):
+def test_one_dense_rank_per_piece_and_prime(monkeypatch):
     sm = jacobian_strand_matrix(_cc_partials(4, 4), 11)
     assert len(sm.blocks) == 16
     assert [count for _, count in sm.orbits] == [1, 4, 6, 4, 1]
     # each representative of at least SPLIT_CELLS cells is cut into the
     # character pieces of the disjoint transpositions fixing it, and each
-    # piece is ranked once; the last, 35 x 75, is ranked whole
+    # piece is ranked once per prime; the last, 35 x 75, is ranked whole
     assert [count for _, count in sm.pieces] == [1] * 4 + [4] * 2 + [6] * 4 + [4] * 2 + [1]
     assert [(b.num_rows, b.num_cols) for b, _ in sm.orbits][-1] == (35, 75)
     calls = []
     original = linalg.rank_dense_modp
 
-    def spy(a, p):
-        calls.append(a.shape)
-        return original(a, p)
+    def spy(blocks):
+        calls.append([(p, a.shape, a.tobytes()) for a, p in blocks])
+        return original(blocks)
 
     monkeypatch.setattr(linalg, "rank_dense_modp", spy)
-    for p in (2147483029, 2147482801):
-        calls.clear()
-        want = sum(original(b.residues((p,))[:, 0], p) for b in sm.blocks)
-        assert rank_mod_p(sm, p) == want
-        assert len(calls) == len(sm.pieces) == 13
+    primes = (2147483029, 2147482801)
+    want = [sum(original([(b.residues((p,))[0], p)])[0] for b in sm.blocks)
+            for p in primes]
+    assert ranks_mod_primes(sm, primes) == want
+    # the 26 (piece, prime) pairs fit in STACK_CELLS, so one call ranks them
+    assert len(calls) == 1
+    ranked = Counter(block for call in calls for block in call)
+    residues = [piece.residues((p,))[0]
+                for piece, _ in sm.pieces for p in primes]
+    assert ranked == Counter((p, a.shape, a.tobytes())
+                             for a, p in zip(residues, primes * len(sm.pieces)))
+    assert sum(ranked.values()) == len(sm.pieces) * len(primes) == 26
+    for p, total in zip(primes, want):
+        assert rank_mod_p(sm, p) == total
 
 
 # what StrandMatrix raises for a symmetry that does not map a block onto a
@@ -955,6 +1010,10 @@ def test_rank_config_needs_a_prime():
     for primes in (0, -1):
         with pytest.raises(ValueError, match="primes"):
             RankConfig(primes=primes)
+    # a count past the cap is refused before any prime is drawn
+    assert RankConfig(primes=linalg.MAX_PRIMES).primes == linalg.MAX_PRIMES
+    with pytest.raises(ValueError, match=rf"in 1\.\.{linalg.MAX_PRIMES}"):
+        RankConfig(primes=linalg.MAX_PRIMES + 1)
     # one prime is a valid configuration, and it agrees with itself
     res = certified_rank(StrandMatrix(1, 1, [0], [0], [3]), RankConfig(primes=1))
     assert res.rank == 1 and len(res.primes) == 1

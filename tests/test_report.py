@@ -10,7 +10,7 @@ from conftest import FERMAT_TEXT, KUMMER_TEXT
 from milnor import cache as cache_module
 from milnor.cache import (HilbertCache, cache_key, cached_hilbert_function,
                           default_cache_dir)
-from milnor.chebyshev import canonical_spec
+from milnor.chebyshev import ChebyshevSpec, build, canonical_spec
 from milnor.hilbert import hilbert_function
 from milnor.linalg import RankConfig
 from milnor.poly import parse_polynomial
@@ -48,7 +48,8 @@ def test_json_byte_identical_under_seed():
 
 
 FROZEN_SEED0 = {
-    # source: (text, report sha256 and size, cache key, entry sha256 and size)
+    # source: (text or Chebyshev spec, report sha256 and size, cache key,
+    # entry sha256 and size)
     "kummer": (KUMMER_TEXT,
                "f1dd05032a7dee3bd7ecca4f414e07c54cfd17698f473b5918177d94fd712217", 5008,
                "35a86b1e65998c7c107f74a8ba62ba8a35756695f743bb9e213d2940aa3897e9",
@@ -58,17 +59,27 @@ FROZEN_SEED0 = {
                "bfa1ed9594a141e34858937fd9ec8c98cb6a506c694e97a9ddca1630815d3e75", 5010,
                "888290f1db56746f16fb30d4b1190e3352b475c3af29acaa5b9f7f5b9c0c751f",
                "2b4adaebf81641d26e33783ac37ce31e191027e933e590cc76cc91c314a8492b", 1825),
+    # many dense pieces and primes to a rank call, and pieces of several
+    # panels: 560 x 880 at k=13 cut into 308 x 470 and 252 x 410
+    "CC(3,5)": (canonical_spec(3, 5),
+                "607393b78f79e750c56459ece5eb100793f0ad4077073ac6180470fbc10751a1", 6141,
+                "db9eafa2c4be98a3bdd50c6e6ac79b09193d9c45fc63f23b1db16b8d28edd8c2",
+                "4ab1bb67817f44fe328dc90604281e5fc62b3d414fbcdd973ca709f699e4bef2", 2533),
+    "CC(4,4)": (canonical_spec(4, 4),
+                "42b4f2c1a4bfa2e066ee085af2ca22430d6fc5b337dc73bf2f4ab6174f568c39", 5640,
+                "fc7ec4b8cd9d1762ad5ff5c45a5c0b45eb3b076a44ab6bf82acde1ab4fe746ee",
+                "2f08fd490107315f0a9e358bc41225f4f4264b88aa2b157459d9407a80a4987d", 2214),
 }
 
 
 def test_frozen_bytes_seed0(tmp_path):
     # sha256 and size of the seed-0 reports of a nodal and a smooth quartic
-    # and of their cache entries; a change here changes what users get on
-    # disk, so it must be deliberate
+    # and of two Chebyshev hypersurfaces, and of their cache entries; a
+    # change here changes what users get on disk, so it must be deliberate
     config = RunConfig(seed=0)
     for source, (poly, report_sha, report_size, want_key, entry_sha,
                  entry_size) in FROZEN_SEED0.items():
-        f = parse_polynomial(poly, num_vars=4)
+        f = build(poly) if isinstance(poly, ChebyshevSpec) else parse_polynomial(poly, num_vars=4)
         text = analyze(f, source=source, config=config).to_json().encode()
         assert (hashlib.sha256(text).hexdigest(), len(text)) == (
             report_sha, report_size), source

@@ -66,7 +66,7 @@ def test_column_fixed_with_sign_minus_one():
            for h, w, r, c, v in split.cut(*np.nonzero(m), m[np.nonzero(m)])]
     assert got == [(1, 1, [0], [0], [-1]), (1, 1, [0], [0], [12]),
                    (1, 1, [0], [0], [5]), (1, 1, [0], [0], [-2])]
-    assert rank_dense_modp(m % P, P) == 4
+    assert rank_dense_modp([(m % P, P)]) == [4]
 
 
 @pytest.mark.parametrize("generators", [
@@ -138,8 +138,8 @@ def test_piece_ranks_sum_to_the_whole_rank():
         # each orbit of size |G|/|H| is kept by |G|/|H| characters
         assert split.keep_rows.sum() == num_rows and split.keep_cols.sum() == num_cols
         pieces = _dense_pieces(split, m)
-        assert sum(rank_dense_modp(piece, P) for piece in pieces) == \
-            rank_dense_modp(m % P, P), trial
+        assert sum(rank_dense_modp([(piece, P) for piece in pieces])) == \
+            rank_dense_modp([(m % P, P)])[0], trial
 
 
 def test_cut_promotes_sums_past_int64():
