@@ -1,14 +1,16 @@
 """
-Certified sparse rank: multiple primes, exact fallback
-======================================================
+Certified sparse rank: primes, and the proof of each rank
+=========================================================
 
 Every Hilbert function value is a corank of a strand of the Jacobian ideal.
-Ranks are computed mod several independently seeded 31-bit primes; a rank
-mod p can only undershoot the true rank, so the largest is a proved lower
-bound.  `certified` means proved when the strand is also ranked exactly: a
-strand of at most EXACT_VERIFY_COLS (48) columns always is, and one of at
-most EXACT_FALLBACK_COLS (2000) columns is when its primes disagree.  Past
-those sizes `certified` says only that every prime gave the same rank.
+Ranks are computed mod independently seeded 31-bit primes; a rank mod p
+can only undershoot the true rank, so the largest is a proved lower bound.
+Each rank names its proof: "exact" (a strand of at most EXACT_VERIFY_COLS
+(48) columns, or of at most EXACT_FALLBACK_COLS (2000) whose primes
+disagree, is ranked exactly), "full-rank" (every piece reaches
+min(rows, cols) mod some prime), "oracle" (for a Chebyshev spec, a modular
+rank reaches the rank the node oracle proves), or "agreement" (two or more
+primes give the same rank, which is evidence, not a proof).
 
 Run:  python3 demos/demo_rank_certification.py
 """
@@ -25,6 +27,7 @@ from milnor import (
     rank_exact,
 )
 from milnor.chebyshev import build
+from milnor.hilbert import hilbert_function
 from milnor.poly import partial_derivatives
 
 KUMMER = (
@@ -57,7 +60,12 @@ for k in (4, 6, 8):
           f" ranked as {len(m.pieces)} pieces")
     print(f"  rank {res.rank} via {res.method}, primes {res.primes}")
     print(f"  modular ranks {res.ranks}, agreement={res.agreement},"
-          f" exact_verified={res.exact_verified}, certified={res.certified}")
+          f" proof={res.proof}, certified={res.certified}")
+# One prime agrees with itself, which proves nothing: strand 6 is rank
+# deficient and past EXACT_VERIFY_COLS, so at one prime it is uncertified.
+res = certified_rank(jacobian_strand_matrix(partials, 6), RankConfig(seed=0, primes=1))
+print(f"strand k=6 at one prime: rank {res.rank}, proof={res.proof},"
+      f" certified={res.certified}")
 print()
 
 # For odd d no two blocks are alike: the CC(3,5) strand at k=13 is one
@@ -68,7 +76,19 @@ res = certified_rank(m, RankConfig(seed=0))
 print(f"CC(3,5) strand k=13: {m.num_rows} x {m.num_cols},"
       f" {len(m.blocks)} block in {len(m.orbits)} orbit, ranked as pieces"
       f" {[(p.num_rows, p.num_cols) for p, _ in m.pieces]}")
-print(f"  rank {res.rank}, modular ranks {res.ranks}, certified={res.certified}")
+print(f"  rank {res.rank}, modular ranks {res.ranks}, proof={res.proof}")
+print()
+
+# Given the spec, each strand of CC(3,5) is ranked at the first prime of
+# its stream.  Where exact elimination and full rank are not enough, the
+# node oracle proves the rank (every singular point of a Chebyshev
+# hypersurface is a node), so no strand needs the other two primes.
+spec = canonical_spec(3, 5)
+hf = hilbert_function(build(spec), RankConfig(seed=0), chebyshev=spec)
+print("CC(3,5), oracle route: proof per strand k")
+for k, res in enumerate(hf.rank_details):
+    print(f"  k={k:2d}: rank {res.rank:4d} at {len(res.primes)} prime(s), {res.proof}")
+print(f"  certified: {hf.certified}")
 print()
 
 # The same strand over exact rationals, fraction-free elimination.  Slower,

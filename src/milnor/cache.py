@@ -2,10 +2,13 @@
 
 The cache key hashes the canonical polynomial text together with every
 value that decides the stored ranks or their certificate: the prime count
-and seed of the RankConfig, and the linalg constants EXACT_FALLBACK_COLS
-and EXACT_VERIFY_COLS (which decide method, exact_verified and certified),
-each under its own name.  Changing any of these values gives a different
-entry.  Entries are small JSON objects, one file each.  A file is corrupt
+and seed of the RankConfig, the route ("oracle" for a Chebyshev spec, whose
+strands the node oracle proves at one prime, else "primes"), the linalg
+constants EXACT_FALLBACK_COLS, EXACT_VERIFY_COLS and ORACLE_SIDE (which
+decide method, proof and certified), each under its own name, and
+ENTRY_SCHEMA, so an entry of another layout is never looked up.  Changing
+any of these values gives a different entry.  Entries are small JSON
+objects, one file each.  A file is corrupt
 unless its dims and rank details are T+2 ints and records, and its ranks
 give its dims and every derived value it stores.  load() skips it, or an
 entry for another n and d, with a warning, so it is recomputed; entries()
@@ -21,12 +24,12 @@ import warnings
 from typing import Optional
 
 from .hilbert import HilbertFunction, hilbert_function
-from .linalg import (EXACT_FALLBACK_COLS, EXACT_VERIFY_COLS, RankConfig,
-                     RankResult)
+from .linalg import (EXACT_FALLBACK_COLS, EXACT_VERIFY_COLS, ORACLE_SIDE,
+                     RankConfig, RankResult)
 from .poly import SparsePolynomial, format_polynomial
 
 CACHE_ENV = "MILNOR_CACHE_DIR"
-ENTRY_SCHEMA = 1
+ENTRY_SCHEMA = 2
 
 
 def default_cache_dir() -> str:
@@ -34,14 +37,19 @@ def default_cache_dir() -> str:
         os.path.expanduser("~"), ".cache", "milnor")
 
 
-def cache_key(f: SparsePolynomial, config: RankConfig) -> str:
+def cache_key(f: SparsePolynomial, config: RankConfig, chebyshev=None) -> str:
+    """The key of f's entry; chebyshev, the spec f was built from, picks
+    the oracle route."""
     payload = {
         "polynomial": format_polynomial(f),
         "num_vars": f.num_vars,
         "primes": config.primes,
         "seed": config.seed,
+        "route": "primes" if chebyshev is None else "oracle",
+        "entry_schema": ENTRY_SCHEMA,
         "exact_fallback_cols": EXACT_FALLBACK_COLS,
         "exact_verify_cols": EXACT_VERIFY_COLS,
+        "oracle_side": ORACLE_SIDE,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -59,7 +67,8 @@ def _read_entry(path: str) -> HilbertFunction:
             and len(dims) == len(data["rank_details"]) == size):
         raise ValueError(f"dims and rank_details must be {size} ints and records")
     details = [RankResult(rank=r["rank"], primes=r["primes"], ranks=r["ranks"],
-                          method=r["method"]) for r in data["rank_details"]]
+                          method=r["method"], proof=r["proof"])
+               for r in data["rank_details"]]
     hf = HilbertFunction.from_ranks(data["n"], data["d"], details)
     if _entry(hf) != data:
         raise ValueError("stored values are not the ones its ranks give")
@@ -131,12 +140,12 @@ class HilbertCache:
 
 
 def cached_hilbert_function(f: SparsePolynomial, config: RankConfig,
-                            cache: HilbertCache,
-                            jobs: int = 1) -> HilbertFunction:
-    """hilbert_function with a read-through cache keyed on input and seed."""
-    key = cache_key(f, config)
+                            cache: HilbertCache, jobs: int = 1,
+                            chebyshev=None) -> HilbertFunction:
+    """hilbert_function with a read-through cache keyed on input, seed and route."""
+    key = cache_key(f, config, chebyshev)
     hf = cache.load(key, f.num_vars - 1, f.degree)
     if hf is None:
-        hf = hilbert_function(f, config=config, jobs=jobs)
+        hf = hilbert_function(f, config=config, jobs=jobs, chebyshev=chebyshev)
         cache.store(key, hf)
     return hf

@@ -57,7 +57,9 @@ def _common_flags() -> argparse.ArgumentParser:
     defaults = RunConfig()
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--primes", type=int, default=defaults.primes, metavar="N",
-                   help="random 31-bit primes per rank (default %(default)s)")
+                   help="random 31-bit primes per strand rank; a Chebyshev "
+                        "strand ranks the rest only where the first prime "
+                        "leaves it unproved (default %(default)s)")
     p.add_argument("--seed", type=int, default=defaults.seed,
                    help="seed for the prime stream (default %(default)s)")
     p.add_argument("--max-degree", type=int, default=defaults.max_degree,
@@ -128,6 +130,17 @@ def _emit(content: str, args, filename: str) -> None:
         sys.stdout.write(content)
 
 
+def _exit_code(reports) -> int:
+    """EXIT_OK if every report is certified; otherwise name each
+    uncertified report's unproved strands on stderr."""
+    bad = [r for r in reports if not r.certified]
+    for r in bad:
+        ks = ", ".join(map(str, r.strands(None)))
+        print(f"uncertified: {r.source}: no proof for the rank of strands "
+              f"k = {ks}", file=sys.stderr)
+    return EXIT_UNCERTIFIED if bad else EXIT_OK
+
+
 def _finish(report, timing: bool, t0: float):
     """report, with the seconds since t0 as its timing if timing is set."""
     if timing:
@@ -152,7 +165,7 @@ def _cmd_analyze(args) -> int:
                      args.timing, t0)
     _emit(report.render(args.format), args,
           f"{_slug(label)}.{_EXTENSIONS[args.format]}")
-    return EXIT_OK if report.certified else EXIT_UNCERTIFIED
+    return _exit_code([report])
 
 
 # -- chebyshev grid -----------------------------------------------------------
@@ -221,8 +234,7 @@ def _cmd_chebyshev(args) -> int:
                "reports": [r.to_dict() for r in reports],
                "verdicts": [asdict(v) for v in verdicts]}
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    certified = all(r.certified for r in reports)
-    return EXIT_OK if certified else EXIT_UNCERTIFIED
+    return _exit_code(reports)
 
 
 # -- defects ------------------------------------------------------------------
@@ -294,7 +306,7 @@ def _cmd_defects(args) -> int:
     if mismatches:
         raise CommandError(f"node oracle disagrees with strand ranks at "
                            f"k={mismatches}")
-    return EXIT_OK if report.certified else EXIT_UNCERTIFIED
+    return _exit_code([report])
 
 
 # -- verify -------------------------------------------------------------------

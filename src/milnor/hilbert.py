@@ -13,15 +13,25 @@ global Tjurina number tau = |nodes| in high degrees (from the stability
 threshold st on).  A HilbertFunction keeps its dims and strand ranks;
 smooth_match, stable_value and certified are read off them, and so is the
 excess over the smooth reference that thresholds and koszul_hn_dim use.
+
+For a Chebyshev hypersurface C(n,d,k), whose singular points are all nodes,
+every value is also proved by the node oracle: with N the node set,
+dim M(f)_j = dim M(f_s)_j + defect S_(T-j)(N) for 0 <= j <= T, and
+dim M(f)_(T+1) = |N| (milnor.topology).  hilbert_function(chebyshev=spec)
+therefore ranks each strand at the first prime of its stream and asks the
+oracle (_oracle_rank) for the strand's proved rank only where neither exact
+elimination nor full rank proves it; see linalg.certified_rank.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
+from math import comb
 
-from .linalg import RankConfig, RankResult, certified_rank, jacobian_strand_matrix
+from .linalg import (ORACLE_SIDE, RankConfig, RankResult, certified_rank,
+                     jacobian_strand_matrix)
 from .monomials import num_monomials
 from .poly import SparsePolynomial, partial_derivatives
 
@@ -117,18 +127,25 @@ def hilbert_function(
     f: SparsePolynomial,
     config: RankConfig | None = None,
     jobs: int = 1,
+    chebyshev=None,
 ) -> HilbertFunction:
     """Certified Hilbert function of M(f) for homogeneous f with isolated singularities.
 
     Computes dims 0..T+1, enough for every derived invariant.
     Raises NotNodalError when the input is neither smooth-matching nor
     stabilized at T, which is how non-isolated or badly degenerate input
-    surfaces.
+    surfaces.  chebyshev, the ChebyshevSpec that f was built from, lets
+    the node oracle prove the strands (see the module docstring);
+    ValueError if f is not build(chebyshev).
     """
     if config is None:
         config = RankConfig()
     if f.is_zero or not f.is_homogeneous:
         raise ValueError("input must be a nonzero homogeneous polynomial")
+    if chebyshev is not None:
+        from .chebyshev import build
+        if build(chebyshev) != f:
+            raise ValueError(f"the polynomial is not the one of {chebyshev}")
     d = f.degree
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -136,7 +153,7 @@ def hilbert_function(
     T = (n + 1) * (d - 2)
     grad = partial_derivatives(f, d)
     results = parallel_map(_strand_rank,
-                           [(grad, k, config) for k in range(T + 2)], jobs)
+                           [(grad, k, config, chebyshev) for k in range(T + 2)], jobs)
     hf = HilbertFunction.from_ranks(n, d, results)
     if hf.stable_value is None:
         raise NotNodalError(
@@ -160,9 +177,31 @@ def parallel_map(fn, tasks: list, jobs: int = 1) -> list:
 
 
 def _strand_rank(args) -> RankResult:
-    grad, k, config = args
+    grad, k, config, spec = args
     matrix = jacobian_strand_matrix(grad, k)
-    return certified_rank(matrix, config, salt=f"strand-{k}")
+    oracle = None if spec is None else partial(_oracle_rank, spec, config.seed, k)
+    return certified_rank(matrix, config, salt=f"strand-{k}", oracle=oracle)
+
+
+def _oracle_rank(spec, seed, k: int) -> int | None:
+    """The rank of strand k of build(spec), proved by the node oracle:
+    dim S_k - dim M(f)_k, with dim M(f)_k the smooth value plus the defect
+    of the node set in degree T - k (0 when C(n,d,k) is smooth), or |N| at
+    k = T+1.  None when both sides of the evaluation matrix,
+    |N| x C(n+T-k, n), exceed ORACLE_SIDE."""
+    from .chebyshev import node_count_formula
+    from .nodes import OracleConfig, defect_direct
+    n, d = spec.n, spec.d
+    T = (n + 1) * (d - 2)
+    nodes = node_count_formula(n, d, spec.k)
+    if k > T:
+        dim = nodes
+    elif min(nodes, comb(n + T - k, n)) > ORACLE_SIDE:
+        return None
+    else:
+        dim = _smooth_dims(n, d)[k] + (defect_direct(n, d, T - k, OracleConfig(seed),
+                                                     k_shift=spec.k) if nodes else 0)
+    return num_monomials(n + 1, k) - dim
 
 
 @dataclass

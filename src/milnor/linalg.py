@@ -4,13 +4,17 @@ The degree-k strand of a Jacobian ideal is the linear map
 (h_0, ..., h_n) -> sum h_i * f_i from (n+1) copies of the degree k-d+1
 graded piece into the degree-k piece.  Ranks are computed modulo several
 random 31-bit primes; ranks mod p never exceed the rational rank, so the
-maximum over primes is a proved lower bound.  A matrix of at most
-EXACT_VERIFY_COLS columns is also ranked exactly, by fraction-free
-elimination.  A larger one whose primes disagree is ranked exactly up to
-EXACT_FALLBACK_COLS columns, and past that reported uncertified.  Past
-those sizes `certified` means that the primes agree, not a proof.
-RankConfig holds the only settable values, the prime count and the seed;
-every cutoff is a module constant below.
+maximum over primes is a proved lower bound.  Each RankResult names the
+proof of its rank.  "exact": a matrix of at most EXACT_VERIFY_COLS columns
+is ranked exactly by fraction-free elimination, and so is one of at most
+EXACT_FALLBACK_COLS columns whose primes disagree.  "full-rank": every
+piece reaches min(rows, cols) mod some prime.  "oracle": a modular rank
+reaches the rank the caller proved another way (for Chebyshev strands,
+the node oracle).  "agreement": two or more primes give the same rank,
+which is evidence, not a proof.  A rank with none of these is uncertified;
+one prime alone never certifies by agreement.  RankConfig holds the only
+settable values, the prime count and the seed; every cutoff is a module
+constant below.
 
 A StrandMatrix holds its entries as three parallel arrays: int64 rows and
 columns, and integer values in int64 (or objects, for ints past int64),
@@ -94,11 +98,20 @@ SPLIT_CELLS = 1 << 12
 
 # Certification cutoffs, applied by certified_rank: a matrix of at most
 # EXACT_VERIFY_COLS columns is always ranked exactly, and one of at most
-# EXACT_FALLBACK_COLS columns when the primes disagree.  cache_key hashes
-# both, since they decide method, exact_verified and certified.  RankConfig
-# refuses more than MAX_PRIMES primes: (2^30, 2^31) holds only about 5e7.
+# EXACT_FALLBACK_COLS columns when the primes disagree.  The node oracle
+# proves a Chebyshev strand only when its evaluation matrix has at most
+# ORACLE_SIDE rows or at most ORACLE_SIDE columns (milnor.hilbert); past
+# that the strand is ranked mod every prime.  The smaller side bounds the
+# rank, and a deficient rank needs primes in proportion to it.  The cap
+# admits every degree of CC(4,6) (216 nodes; each degree takes at most
+# 0.05 s) and CC(4,7) at 486 x 210 (5.6 s), and keeps out CC(4,7) at
+# 486 x 330 (17.6 s) and 486 x 495 (57 s), on a 2-vCPU machine.
+# cache_key hashes all three, since they decide method, proof and
+# certified.  RankConfig refuses more than MAX_PRIMES primes: (2^30,
+# 2^31) holds only about 5e7.
 EXACT_VERIFY_COLS = 48
 EXACT_FALLBACK_COLS = 2000
+ORACLE_SIDE = 256
 MAX_PRIMES = 1000
 
 
@@ -592,16 +605,18 @@ def _panel(blocks, ranks: list[int]) -> list:
         if wide:
             work[pivots, b + 1 + c] = work[pivots, b]
             work[pivots, b] = 0
+        # columns past y[c] are still zero in every row, so they stay as they are
+        live = slice(c + 1, b + 2 + c)
         if rest.size:
-            sub = work[rest, c + 1 :]
+            sub = work[rest, live]
             sub *= column[pivot_of, None]
-            sub -= work[pivot_of, c + 1 :] * column[rest, None]
+            sub -= work[pivot_of, live] * column[rest, None]
             if p:  # one divisor: numpy's x // p is far faster than x % p
                 sub -= sub // p * p
             else:
                 sub %= mod[rest, None]
-            work[rest, c + 1 :] = sub
-        work[pivots, c + 1 :] = 0
+            work[rest, live] = sub
+        work[pivots, live] = 0
     for (i, _, _), n in zip(blocks, np.bincount(owner[taken >= 0], minlength=len(blocks))):
         ranks[i] += int(n)
     if not wide:
@@ -896,14 +911,24 @@ class RankConfig:
             raise ValueError(f"primes must be in 1..{MAX_PRIMES}, not {self.primes}")
 
 
+# The proofs a RankResult can name; see the module docstring.
+PROOFS = ("exact", "full-rank", "oracle", "agreement")
+
+
 @dataclass
 class RankResult:
-    """A rank, the primes drawn, the rank mod each and the deciding method."""
+    """A rank, the primes ranked, the rank mod each, the deciding method
+    and the proof of the rank (one of PROOFS, or None: unproved)."""
 
     rank: int
     primes: list[int] = field(default_factory=list)
     ranks: list[int] = field(default_factory=list)
     method: str = "sparse-elimination"
+    proof: str | None = None
+
+    def __post_init__(self):
+        if self.proof is not None and self.proof not in PROOFS:
+            raise ValueError(f"unknown proof {self.proof!r}")
 
     @property
     def agreement(self) -> bool:
@@ -915,15 +940,23 @@ class RankResult:
 
     @property
     def certified(self) -> bool:
-        """Exact, or every prime reached the rank; with no prime, rank 0."""
-        return self.exact_verified or set(self.ranks or [0]) == {self.rank}
+        """The proof holds on the recorded ranks: exact elimination ran;
+        full rank or the oracle proves the largest modular rank; or two or
+        more primes all gave the rank."""
+        if self.proof == "exact":
+            return self.exact_verified
+        if self.proof in ("full-rank", "oracle"):
+            return self.rank == max(self.ranks, default=0)
+        if self.proof == "agreement":
+            return len(self.ranks) > 1 and set(self.ranks) == {self.rank}
+        return False
 
     def to_dict(self) -> dict:
         """Fields and derived values, in a cache entry's key order."""
         return {"rank": self.rank, "primes": list(self.primes),
                 "ranks": list(self.ranks), "agreement": self.agreement,
                 "certified": self.certified, "method": self.method,
-                "exact_verified": self.exact_verified}
+                "exact_verified": self.exact_verified, "proof": self.proof}
 
 
 def _engine(matrix: StrandMatrix) -> str:
@@ -989,29 +1022,71 @@ def rank_mod_p(matrix: StrandMatrix, p: int) -> int:
 
 
 def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
-                   salt: str = "") -> RankResult:
-    """Multi-prime rank with certification.
+                   salt: str = "", oracle=None) -> RankResult:
+    """Rank mod primes, with the proof that certifies it.
 
     Draws `primes` distinct random 31-bit primes from the stream seeded by
     seed and salt and ranks every piece mod all of them, as
-    ranks_mod_primes does, keeping each piece's ranks.  A matrix
-    of at most EXACT_VERIFY_COLS columns, or of at most EXACT_FALLBACK_COLS
-    when the primes disagree, is then ranked exactly, and that rank is
-    authoritative: rank_exact eliminates the pieces whose largest modular
-    rank does not already prove theirs.  Otherwise the rank is the largest
-    modular rank, certified only when every prime agrees.
+    ranks_mod_primes does, keeping each piece's ranks; _proved names the
+    proof.  `oracle`, when given, is a callable that returns the matrix's
+    rank proved another way, or None where it has none.  Then the first
+    prime of the stream is drawn and ranked alone.  A rank that exact
+    elimination or full rank proves is kept, and the oracle is not
+    called.  A modular rank equal to the oracle's is proved by it; one
+    above it raises ArithmeticError naming k and the prime.  Below it, or
+    when the oracle returns None, the rest of the stream is drawn and
+    ranked too; with the oracle's rank still unreached the largest modular
+    rank is kept, uncertified, never replaced by the oracle's.
     """
     if config is None:
         config = RankConfig()
-    if not matrix.nnz:
-        return RankResult(rank=0, method="sparse-elimination")
+    if not matrix.nnz:  # no columns: rank 0 is min(rows, cols)
+        return RankResult(rank=0, proof="full-rank")
     rng = random.Random(f"{config.seed}|{salt}")
-    primes = draw_distinct_primes(rng, config.primes)
+    primes = draw_distinct_primes(rng, 1 if oracle else config.primes)
     piece_ranks = _piece_ranks(matrix, primes)
+    res = _proved(matrix, primes, piece_ranks)
+    if oracle is None or res.proof:
+        return res
+    target = oracle()
+    if (target is None or res.rank < target) and config.primes > 1:
+        # the rest of the same stream, as one draw of all of them gives
+        rest = draw_distinct_primes(rng, config.primes - 1, exclude=primes)
+        primes = primes + rest
+        piece_ranks = [a + b for a, b in zip(piece_ranks, _piece_ranks(matrix, rest))]
+    res = _proved(matrix, primes, piece_ranks, target)
+    if target is not None and res.rank > target:
+        p = res.primes[res.ranks.index(res.rank)]
+        raise ArithmeticError(f"strand k={matrix.k}: its rank {res.rank} mod {p} exceeds "
+                              f"the rank {target} the node oracle proves")
+    return res
+
+
+def _proved(matrix: StrandMatrix, primes, piece_ranks, target: int | None = None
+            ) -> RankResult:
+    """The RankResult of the pieces' ranks mod primes, with its proof.
+
+    A matrix of at most EXACT_VERIFY_COLS columns, or with no target of at
+    most EXACT_FALLBACK_COLS whose primes disagree, is ranked exactly, and
+    that rank is authoritative: rank_exact eliminates the pieces whose
+    largest modular rank does not already prove theirs.  Otherwise the
+    rank is the largest modular rank, proved by full rank when every piece
+    reaches min(rows, cols) mod some prime, else by the target when it
+    equals it, else, with no target, by the agreement of two or more
+    primes.
+    """
     ranks = _totals(matrix, piece_ranks, len(primes))
+    best = [max(r) for r in piece_ranks]
     if matrix.num_cols <= EXACT_VERIFY_COLS or (
-            len(set(ranks)) > 1 and matrix.num_cols <= EXACT_FALLBACK_COLS):
-        exact = rank_exact(matrix, [max(r) for r in piece_ranks])
-        return RankResult(rank=exact, primes=primes, ranks=ranks,
-                          method="dense-fraction-free")
-    return RankResult(rank=max(ranks), primes=primes, ranks=ranks)
+            target is None and len(set(ranks)) > 1 and matrix.num_cols <= EXACT_FALLBACK_COLS):
+        return RankResult(rank=rank_exact(matrix, best), primes=primes, ranks=ranks,
+                          method="dense-fraction-free", proof="exact")
+    rank = max(ranks)
+    if all(b == min(piece.num_rows, piece.num_cols)
+           for (piece, _), b in zip(matrix.pieces, best, strict=True)):
+        proof = "full-rank"
+    elif target is not None:
+        proof = "oracle" if rank == target else None
+    else:
+        proof = "agreement" if len(ranks) > 1 and len(set(ranks)) == 1 else None
+    return RankResult(rank=rank, primes=primes, ranks=ranks, proof=proof)

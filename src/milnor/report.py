@@ -7,6 +7,17 @@ in a HypersurfaceReport. Every report is linted before it leaves: the
 threshold identity ct = mdr + d - 2 and all non-observational checks must
 hold, otherwise a ReportLintError carries the offending report.
 
+Nodality is proved for Chebyshev specs, in closed form: a singular point
+of C(n,d,k) has every coordinate at a critical point lambda_j = cos(j*pi/d)
+of T_d, the Hessian there is diag(T_d''(lambda_j)), and the Chebyshev
+equation (1 - x^2) T'' - x T' + d^2 T = 0 gives T_d''(lambda_j) =
+-d^2 (-1)^j / sin^2(j*pi/d), never 0; the top-degree part is a scaled
+Fermat form, so no singular point lies at infinity (Rivlin, Chebyshev
+Polynomials, 1990, ch. 1).  So every singular point is a node, which is
+what lets the node oracle prove their strands.  Any other input is
+assumed nodal unless analyze is told not to; the report says which
+(`nodality`).
+
 JSON output is canonical: keys sorted, no timestamps, timing null unless
 explicitly requested, so identical configuration and seed give
 byte-identical files.
@@ -30,7 +41,12 @@ from .topology import (AlexanderPolynomial, BettiNumbers, DefectTable,
                        TheoremCheck, alexander_polynomial, betti_numbers,
                        check_theorem_bounds, defect_table)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# the values of HypersurfaceReport.nodality
+NODAL_PROVED = "proved (Chebyshev)"
+NODAL_ASSUMED = "assumed"
+NODAL_NOT_ASSUMED = "not assumed"
 
 
 @dataclass
@@ -76,7 +92,7 @@ class HypersurfaceReport:
     n: int
     d: int
     polynomial: str
-    nodal_assumed: bool
+    nodality: str  # NODAL_PROVED, NODAL_ASSUMED or NODAL_NOT_ASSUMED
     hilbert: HilbertFunction
     thresholds: ThresholdReport
     defects: Optional[DefectTable]
@@ -94,12 +110,18 @@ class HypersurfaceReport:
     def certified(self) -> bool:
         return self.hilbert.certified
 
+    def strands(self, *proofs) -> list[int]:
+        """The degrees k whose strand rank has one of the given proofs
+        (None: unproved)."""
+        return [k for k, r in enumerate(self.hilbert.rank_details)
+                if (r.proof if r.certified else None) in proofs]
+
     def lint_failures(self) -> list[str]:
         """Identities that must hold in any internally consistent report."""
         bad = [f"check failed: {c.name} (lhs={c.lhs}, rhs={c.rhs})"
                for c in self.checks if c.status == "fail"]
         t = self.thresholds
-        if not t.smooth and self.nodal_assumed:
+        if not t.smooth and self.nodality != NODAL_NOT_ASSUMED:
             if t.ct != t.mdr + self.d - 2:
                 bad.append(f"threshold identity broken: ct={t.ct}, "
                            f"mdr={t.mdr}, d={self.d}")
@@ -124,7 +146,7 @@ class HypersurfaceReport:
             "n": self.n,
             "d": self.d,
             "polynomial": self.polynomial,
-            "nodal_assumed": self.nodal_assumed,
+            "nodality": self.nodality,
             "hilbert": {
                 "dims": list(self.hilbert.dims),
                 "stable_value": self.hilbert.stable_value,
@@ -185,6 +207,13 @@ class HypersurfaceReport:
         for v in self.conjectures:
             out.append(f"conjecture {v.name}: predicted {v.predicted}, "
                        f"computed {v.computed} [{v.label}]")
+        out.append(f"nodality: {self.nodality}")
+        agreed, unproved = self.strands("agreement"), self.strands(None)
+        if self.nodality == NODAL_PROVED and agreed:
+            out.append("past the oracle size cap, by prime agreement: k = "
+                       + ", ".join(map(str, agreed)))
+        if unproved:
+            out.append("uncertified strands: k = " + ", ".join(map(str, unproved)))
         out.append(f"certified: {self.certified}")
         return "\n".join(out) + "\n"
 
@@ -207,9 +236,10 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
     """Run the full pipeline on a polynomial or a Chebyshev spec.
 
     With a cache, the Hilbert function is read from it or computed and
-    stored. Conjecture verdicts are attached only for canonical Chebyshev
-    inputs, where the closed forms apply. nodal=False skips every
-    nodal-only derivation.
+    stored. A Chebyshev spec is proved nodal, and the node oracle proves
+    its strands (hilbert_function). Conjecture verdicts are attached only
+    for canonical Chebyshev inputs, where the closed forms apply.
+    nodal=False skips every nodal-only derivation.
     """
     config = config or RunConfig()
     if (f is None) == (chebyshev is None):
@@ -225,9 +255,11 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
     check_degree_cap(f.num_vars - 1, f.degree, config.max_degree)
 
     if cache is not None:
-        hf = cached_hilbert_function(f, config, cache, jobs=config.jobs)
+        hf = cached_hilbert_function(f, config, cache, jobs=config.jobs,
+                                     chebyshev=chebyshev)
     else:
-        hf = hilbert_function(f, config=config, jobs=config.jobs)
+        hf = hilbert_function(f, config=config, jobs=config.jobs,
+                              chebyshev=chebyshev)
     t = thresholds(hf)
 
     defects = alex = betti = None
@@ -248,7 +280,9 @@ def analyze(f: Optional[SparsePolynomial] = None, *,
     report = HypersurfaceReport(
         source=source, n=hf.n, d=hf.d,
         polynomial=format_polynomial(f),
-        nodal_assumed=nodal, hilbert=hf, thresholds=t,
+        nodality=NODAL_PROVED if chebyshev is not None else
+        NODAL_ASSUMED if nodal else NODAL_NOT_ASSUMED,
+        hilbert=hf, thresholds=t,
         defects=defects, alexander=alex, betti=betti, checks=checks,
         conjectures=verdicts)
 

@@ -15,7 +15,9 @@ polynomial of D and the middle Betti numbers, all of which are powers of
 defects, and packages the inequalities the thresholds must satisfy into
 machine-checkable records, given the caller's defect table.
 
-Nodality is a caller assertion; nothing here verifies singularity types.
+Nodality is taken from the caller: analyze proves it for Chebyshev specs
+and assumes it for any other input, and its report says which
+(HypersurfaceReport.nodality).  Nothing here verifies singularity types.
 """
 
 from __future__ import annotations

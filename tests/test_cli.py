@@ -31,7 +31,7 @@ def test_analyze_json_stdout(capsys):
     doc = json.loads(out)
     assert doc["thresholds"]["tau"] == 16
     assert doc["alexander"]["text"] == "(t + 1)^6"
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
 
 
 def test_analyze_file_and_out_dir(tmp_path, capsys):
@@ -294,6 +294,49 @@ def test_prime_count_above_the_cap_fails_at_once(capsys):
     assert code == 1
 
 
+def test_one_prime_leaves_kummer_uncertified(capsys):
+    # one prime agrees with itself, but that proves nothing: Kummer's
+    # rank-deficient strands k = 6..9 are past EXACT_VERIFY_COLS
+    code, out, err = run(["analyze", KUMMER_TEXT, "--primes", "1",
+                          "--no-cache", "--format", "text"], capsys)
+    assert code == 2
+    assert "uncertified strands: k = 6, 7, 8, 9" in out.splitlines()
+    assert "certified: False" in out.splitlines()
+    assert "k = 6, 7, 8, 9" in err
+    code, out, err = run(["analyze", KUMMER_TEXT, "--primes", "1", "--no-cache"], capsys)
+    assert code == 2 and "k = 6, 7, 8, 9" in err
+    details = json.loads(out)["certification"]["rank_details"]
+    assert [r["k"] for r in details if r["proof"] is None] == [6, 7, 8, 9]
+
+
+def test_one_prime_certifies_a_chebyshev_grid_through_the_oracle(capsys):
+    code, out, err = run(["chebyshev", "--n", "3", "--d", "5", "--primes", "1",
+                          "--no-cache"], capsys)
+    assert code == 0 and not err
+    (report,) = json.loads(out)["reports"]
+    assert report["nodality"] == "proved (Chebyshev)"
+    details = report["certification"]["rank_details"]
+    assert {r["proof"] for r in details} == {"exact", "full-rank", "oracle"}
+    assert all(len(r["primes"]) <= 1 for r in details)
+
+
+@pytest.mark.parametrize("shift, code, message", [
+    (1, 2, "uncertified: CC(3,4): no proof for the rank of strands k = 7"),
+    (-1, 2, "uncertified: strand k=7: its rank"),
+])
+def test_oracle_disagreement_exits_uncertified_naming_k(monkeypatch, capsys, shift,
+                                                        code, message):
+    # an oracle that misses strand 7's rank by one: above the modular rank
+    # the strand stays unproved, below it the run stops
+    from milnor import hilbert
+    original = hilbert._oracle_rank
+    monkeypatch.setattr(hilbert, "_oracle_rank", lambda spec, seed, k:
+                        original(spec, seed, k) + shift * (k == 7))
+    got, _, err = run(["chebyshev", "--n", "3", "--d", "4", "--no-cache",
+                       "--format", "text"], capsys)
+    assert got == code and message in err
+
+
 def test_usage_errors_exit_one(capsys):
     # argparse's own exit code 2 would read as "computed but uncertified"
     for argv in (["analyze", FERMAT_TEXT, "--bogus"],
@@ -328,7 +371,7 @@ def test_parser_shared_across_calls_keeps_no_flags(capsys):
 # -- bytes pinned across refactors of the CLI -----------------------------------
 
 _DEFECTS_CC34_ORACLE = {
-    "json": ("477564764c61377a078fb9c9871372af00b3e37deac2ce919a6e33a6c4bf4b1e",
+    "json": ("099a785cfee2acdbe8a0bcd42910a9634afe4b16e845e554995c14627cc7f788",
              668),
     "csv": ("406dd5b970e6e2ba8511567d4e2bf5f6eb1ace05bd6b9ce589628833d31f9d16",
             79),

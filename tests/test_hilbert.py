@@ -6,6 +6,9 @@ from math import comb, gcd
 
 import pytest
 
+from milnor import hilbert, linalg
+from milnor.chebyshev import ChebyshevSpec, build, canonical_spec
+from milnor.domains import draw_distinct_primes
 from milnor.hilbert import (
     HilbertFunction,
     NotNodalError,
@@ -14,8 +17,9 @@ from milnor.hilbert import (
     smooth_hilbert,
     thresholds,
 )
-from milnor.linalg import RankConfig
-from milnor.poly import SparsePolynomial, homogenize, parse_polynomial
+from milnor.linalg import RankConfig, jacobian_strand_matrix
+from milnor.poly import (SparsePolynomial, homogenize, parse_polynomial,
+                         partial_derivatives)
 
 KUMMER = (
     "x3^4 - x3^2*x2^2 - x3^2*x1^2 - x3^2*x0^2 + x2^4 - x2^2*x1^2"
@@ -200,3 +204,101 @@ def test_jobs_pool_capped_at_degree_count(pool_sizes):
 def test_jobs_two_matches_serial():
     f = parse_polynomial(KUMMER, num_vars=4)
     assert hilbert_function(f, jobs=2) == hilbert_function(f, jobs=1)
+
+
+# -- Chebyshev strands proved by the node oracle ---------------------------------
+
+
+def _cc(n, d, k=None):
+    spec = canonical_spec(n, d) if k is None else ChebyshevSpec(n, d, k)
+    return spec, build(spec)
+
+
+def test_oracle_route_ranks_one_prime_where_a_proof_covers_the_strand(monkeypatch):
+    # CC(3,5): every strand is proved at the first prime of its stream; the
+    # oracle is asked only where exact elimination and full rank are not enough
+    spec, f = _cc(3, 5)
+    asked = []
+    original = hilbert._oracle_rank
+
+    def recording(spec, seed, k):
+        asked.append(k)
+        return original(spec, seed, k)
+
+    monkeypatch.setattr(hilbert, "_oracle_rank", recording)
+    config = RankConfig(seed=0)
+    hf = hilbert_function(f, config=config, chebyshev=spec)
+    assert hf.dims == hilbert_function(f, config=config).dims
+    assert hf.certified
+    proofs = [r.proof for r in hf.rank_details]
+    assert asked == [k for k, proof in enumerate(proofs) if proof == "oracle"] \
+        == list(range(8, 14))
+    for k, res in enumerate(hf.rank_details):
+        assert res.primes == res.primes[:1], k
+        stream = draw_distinct_primes(random.Random(f"0|strand-{k}"), 3)
+        assert res.primes in ([], stream[:1]), k
+        cols = jacobian_strand_matrix(partial_derivatives(f, 5), k).num_cols
+        assert (proofs[k] == "exact") == (0 < cols <= linalg.EXACT_VERIFY_COLS), k
+
+
+def test_oracle_route_smooth_shift_has_the_smooth_hilbert_function():
+    # C(3,4,2) has no critical tuple: the oracle's dims are the smooth closed form
+    spec, f = _cc(3, 4, 2)
+    assert not spec.singular
+    hf = hilbert_function(f, config=RankConfig(seed=0), chebyshev=spec)
+    assert hf.dims == smooth_hilbert(3, 4).dims and hf.certified
+    assert "agreement" not in [r.proof for r in hf.rank_details]
+
+
+def test_oracle_rank_above_the_modular_rank_raises_naming_k(monkeypatch):
+    # an oracle one below the true rank of strand 7: the modular rank exceeds
+    # a rank claimed proved, which is a fault, never a result
+    spec, f = _cc(3, 4)
+    original = hilbert._oracle_rank
+    monkeypatch.setattr(hilbert, "_oracle_rank", lambda spec, seed, k:
+                        original(spec, seed, k) - (k == 7))
+    with pytest.raises(ArithmeticError, match=r"strand k=7: its rank \d+ mod \d+ exceeds"):
+        hilbert_function(f, config=RankConfig(seed=0), chebyshev=spec)
+
+
+def test_oracle_rank_unreached_leaves_the_strand_uncertified(monkeypatch):
+    # an oracle one above the true rank of strand 7: every prime of the
+    # stream is ranked, none reaches it, and the measured rank is kept
+    spec, f = _cc(3, 4)
+    original = hilbert._oracle_rank
+    monkeypatch.setattr(hilbert, "_oracle_rank", lambda spec, seed, k:
+                        original(spec, seed, k) + (k == 7))
+    config = RankConfig(seed=0)
+    hf = hilbert_function(f, config=config, chebyshev=spec)
+    assert hf.dims == hilbert_function(f, config=config).dims
+    assert not hf.certified
+    res = hf.rank_details[7]
+    assert res.proof is None and not res.certified
+    assert res.primes == draw_distinct_primes(random.Random("0|strand-7"), 3)
+    assert [k for k, r in enumerate(hf.rank_details) if not r.certified] == [7]
+
+
+def test_oracle_size_cap_keeps_the_multi_prime_route(monkeypatch):
+    # past ORACLE_SIDE a strand is ranked mod every prime and rests on
+    # their agreement; k = T+1 needs no evaluation matrix (H = |N|)
+    spec, f = _cc(3, 4)
+    monkeypatch.setattr(hilbert, "ORACLE_SIDE", 0)
+    config = RankConfig(seed=0)
+    hf = hilbert_function(f, config=config, chebyshev=spec)
+    assert hf == replace(hilbert_function(f, config=config), rank_details=hf.rank_details)
+    proofs = [r.proof for r in hf.rank_details]
+    assert proofs[6:] == ["agreement", "agreement", "agreement", "oracle"]
+    assert [len(r.primes) for r in hf.rank_details[6:9]] == [3, 3, 3]
+
+
+def test_oracle_route_needs_the_spec_of_the_polynomial():
+    spec, _ = _cc(3, 4)
+    _, other = _cc(3, 4, -1)
+    with pytest.raises(ValueError, match="not the one of"):
+        hilbert_function(other, chebyshev=spec)
+
+
+def test_oracle_route_jobs_two_matches_serial():
+    spec, f = _cc(3, 4)
+    assert hilbert_function(f, jobs=2, chebyshev=spec) == \
+        hilbert_function(f, jobs=1, chebyshev=spec)

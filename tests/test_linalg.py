@@ -1020,15 +1020,26 @@ def test_rank_config_needs_a_prime():
 
 
 def test_certification_is_read_off_the_ranks():
-    # with no prime drawn, only a rank of 0 (an empty strand) is proved
-    assert RankResult(rank=0).certified
-    assert not RankResult(rank=5).certified
-    # a rank that some prime did not reach is proved only by exact elimination
-    assert RankResult(rank=3, primes=[5, 7, 11], ranks=[3, 3, 3]).certified
-    modular = RankResult(rank=3, primes=[5, 7, 11], ranks=[3, 2, 3])
+    # a rank certifies only through a proof that holds on its ranks; with
+    # no prime drawn, only a rank of 0 (an empty strand) is full
+    assert RankResult(rank=0, proof="full-rank").certified
+    assert not RankResult(rank=0).certified
+    assert not RankResult(rank=5, proof="full-rank").certified
+    # agreement needs two or more primes, all at the rank
+    assert RankResult(rank=3, primes=[5, 7, 11], ranks=[3, 3, 3], proof="agreement").certified
+    assert not RankResult(rank=3, primes=[5, 7, 11], ranks=[3, 3, 3]).certified
+    assert not RankResult(rank=3, primes=[5], ranks=[3], proof="agreement").certified
+    # a rank that some prime did not reach is proved by exact elimination,
+    # or by full rank or the oracle when the largest modular rank is the rank
+    modular = RankResult(rank=3, primes=[5, 7, 11], ranks=[3, 2, 3], proof="agreement")
     assert not modular.agreement and not modular.certified
-    exact = replace(modular, method="dense-fraction-free")
+    assert replace(modular, proof="oracle").certified
+    assert not replace(modular, rank=4, proof="oracle").certified
+    assert not replace(modular, proof="exact").certified
+    exact = replace(modular, method="dense-fraction-free", proof="exact")
     assert exact.exact_verified and exact.certified and not exact.agreement
+    with pytest.raises(ValueError, match="unknown proof"):
+        RankResult(rank=3, proof="trusted")
 
 
 def test_disagreement_falls_back_to_exact():
@@ -1044,11 +1055,19 @@ def test_disagreement_falls_back_to_exact():
     assert res.rank == 1 and res.certified and res.exact_verified
     assert res.method == "dense-fraction-free"
     # past EXACT_FALLBACK_COLS columns there is no exact fallback: the
-    # maximum is reported, uncertified
+    # maximum is reported, uncertified, unless every piece reaches full
+    # rank mod some prime, which proves it
     wide = StrandMatrix(1, linalg.EXACT_FALLBACK_COLS + 1, [0], [0], [p0])
     res = certified_rank(wide, RankConfig(seed=0), salt="esc")
     assert res.ranks == [0, 1, 1]
-    assert res.rank == 1
+    assert res.rank == 1 and res.proof == "full-rank" and res.certified
+    assert not res.agreement and not res.exact_verified
+    # a 3 x 3 block of rank 2 whose first two rows are equal mod p0
+    wide = StrandMatrix(3, linalg.EXACT_FALLBACK_COLS + 1, [0, 0, 0, 1, 1, 2, 2],
+                        [0, 1, 2, 1, 2, 1, 2], [p0, 1, 1, 1, 1, 1, 1])
+    res = certified_rank(wide, RankConfig(seed=0), salt="esc")
+    assert res.ranks == [1, 2, 2]
+    assert res.rank == 2 and res.proof is None
     assert not res.agreement and not res.certified and not res.exact_verified
     assert res.method == "sparse-elimination"
 

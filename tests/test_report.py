@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+import warnings
 
 import pytest
 
@@ -13,7 +14,7 @@ from milnor.cache import (HilbertCache, cache_key, cached_hilbert_function,
 from milnor.chebyshev import ChebyshevSpec, build, canonical_spec
 from milnor.hilbert import hilbert_function
 from milnor.linalg import RankConfig
-from milnor.poly import parse_polynomial
+from milnor.poly import format_polynomial, parse_polynomial
 from milnor.report import (HypersurfaceReport, ReportLintError, RunConfig,
                            analyze)
 from milnor.topology import TheoremCheck
@@ -21,7 +22,8 @@ from milnor.topology import TheoremCheck
 
 def test_report_dict_fields(kummer):
     doc = kummer.to_dict()
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
+    assert doc["nodality"] == "assumed"
     assert doc["n"] == 3 and doc["d"] == 4
     assert doc["hilbert"]["dims"] == [1, 4, 10, 16, 19, 16, 16, 16, 16, 16]
     assert doc["thresholds"] == {"T": 8, "tau": 16, "ct": 5, "st": 5,
@@ -34,7 +36,7 @@ def test_report_dict_fields(kummer):
     assert doc["certification"]["certified"]
     strand6 = doc["certification"]["rank_details"][6]
     assert strand6["k"] == 6 and len(strand6["primes"]) >= 3
-    assert len(set(strand6["ranks"])) == 1
+    assert len(set(strand6["ranks"])) == 1 and strand6["proof"] == "agreement"
 
 
 def test_json_byte_identical_under_seed():
@@ -51,24 +53,24 @@ FROZEN_SEED0 = {
     # source: (text or Chebyshev spec, report sha256 and size, cache key,
     # entry sha256 and size)
     "kummer": (KUMMER_TEXT,
-               "f1dd05032a7dee3bd7ecca4f414e07c54cfd17698f473b5918177d94fd712217", 5008,
-               "35a86b1e65998c7c107f74a8ba62ba8a35756695f743bb9e213d2940aa3897e9",
-               "9cf04f2ba49dfd5cee2f69998030307ebf98435c09ebbf285c97d239ecde96a5", 1830),
+               "e1d6b1e0f8d1e55fd85c33149730ef52e438f83e411daa5c6daea40a86fc88be", 5296,
+               "3ec2156df405755b2b7e61cc0d30c374e9fda27c0f814242a2bd04e19ce5855a",
+               "fe4a4e7ecd316a69da3633302eee7327eaf97071b58af64b945f8b61d85b1fac", 2038),
     # the smooth branch: stable value 0, no ct or mdr
     "fermat": (FERMAT_TEXT,
-               "bfa1ed9594a141e34858937fd9ec8c98cb6a506c694e97a9ddca1630815d3e75", 5010,
-               "888290f1db56746f16fb30d4b1190e3352b475c3af29acaa5b9f7f5b9c0c751f",
-               "2b4adaebf81641d26e33783ac37ce31e191027e933e590cc76cc91c314a8492b", 1825),
+               "71440179b0533383b9cdae74a92dff564fb12bdb9ec3211ebc492a8ed6a4e522", 5298,
+               "a464086f14ae4075374b368c27215c7bf423fec191785fff1f804c8146557fc1",
+               "dfdd12d173d6dee34d15fa4ca556c2b4c42d111af4b2c9ffdd7666259780dee1", 2033),
     # many dense pieces and primes to a rank call, and pieces of several
     # panels: 560 x 880 at k=13 cut into 308 x 470 and 252 x 410
     "CC(3,5)": (canonical_spec(3, 5),
-                "607393b78f79e750c56459ece5eb100793f0ad4077073ac6180470fbc10751a1", 6141,
-                "db9eafa2c4be98a3bdd50c6e6ac79b09193d9c45fc63f23b1db16b8d28edd8c2",
-                "4ab1bb67817f44fe328dc90604281e5fc62b3d414fbcdd973ca709f699e4bef2", 2533),
+                "48d2f000e0b851b00ecbd689e4cf4a06dc3c44ecba7b4554869fa3c239ff3b8c", 6549,
+                "589d3dedec5f1eaf9b23fb58779b2abe92aa342b45ef2ab91a58183270734dba",
+                "3fa831efc208613f4f440c8822a9c61a0b12577f2a2e105429f0ea7f527e9078", 2829),
     "CC(4,4)": (canonical_spec(4, 4),
-                "42b4f2c1a4bfa2e066ee085af2ca22430d6fc5b337dc73bf2f4ab6174f568c39", 5640,
-                "fc7ec4b8cd9d1762ad5ff5c45a5c0b45eb3b076a44ab6bf82acde1ab4fe746ee",
-                "2f08fd490107315f0a9e358bc41225f4f4264b88aa2b157459d9407a80a4987d", 2214),
+                "ce058127eabdf6c6832953e263eef9ee5a5e0184f33dd7835d7e0a4fe86ddf20", 5992,
+                "973282b0cb6180bb2f2f4e7d7a4be7f1f86b8d925ed6209bfc20933863a7e203",
+                "eb57a6950d54f98142e6bb2654b0522ca2b5985dee51046d2f7e7e5b084d849a", 2470),
 }
 
 
@@ -89,6 +91,37 @@ def test_frozen_bytes_seed0(tmp_path):
         # existing caches keep hitting only while the key is unchanged
         assert key == want_key, source
         assert cache_key(f, config) == key
+        with open(cache.path(key), "rb") as fh:
+            entry = fh.read()
+        assert (hashlib.sha256(entry).hexdigest(), len(entry)) == (
+            entry_sha, entry_size), source
+
+
+FROZEN_ORACLE_SEED0 = {
+    # analyze(chebyshev=spec): strands ranked at one prime, proved by
+    # exact elimination, full rank or the node oracle
+    "CC(3,5)": (canonical_spec(3, 5),
+                "f3218fbfb122bf9a99f5dcd0e7d32ec272a24ff98191780727c320aff0e2d0be", 5934,
+                "433f2fb8e7d738629242b1ea49b7414973a32800750fb77c4f39cef1bd7199db",
+                "d089623f4ac7493babed779c08253fb5a5a90c17679b211ff64832f7826d79f3", 2481),
+    "CC(4,4)": (canonical_spec(4, 4),
+                "03449ccf9b4b96fccbfdf2e943c278cb209e38b411c2381b50434e05541b0993", 5831,
+                "453fe343e3472e145431762195d54ca41af45d7eab15d07fee82e92b69756ec0",
+                "2b05a182d35c7b58559795280920eee38fa9dafcfccd6ce4f178e250e0c42b99", 2152),
+}
+
+
+def test_frozen_bytes_seed0_oracle_route(tmp_path):
+    config = RunConfig(seed=0)
+    for source, (spec, report_sha, report_size, want_key, entry_sha,
+                 entry_size) in FROZEN_ORACLE_SEED0.items():
+        text = analyze(chebyshev=spec, config=config).to_json().encode()
+        assert (hashlib.sha256(text).hexdigest(), len(text)) == (
+            report_sha, report_size), source
+        cache = HilbertCache(str(tmp_path / source))
+        analyze(chebyshev=spec, config=config, cache=cache)
+        key = cache_key(build(spec), RankConfig(seed=0), spec)
+        assert key == want_key, source
         with open(cache.path(key), "rb") as fh:
             entry = fh.read()
         assert (hashlib.sha256(entry).hexdigest(), len(entry)) == (
@@ -141,7 +174,8 @@ def test_analyze_without_nodal_assumption():
 def test_chebyshev_input_keeps_nodal_false():
     rep = analyze(chebyshev=canonical_spec(3, 4), nodal=False,
                   config=RunConfig(seed=0))
-    assert not rep.nodal_assumed
+    # nodality is a fact of the spec; nodal=False only skips what rests on it
+    assert rep.nodality == "proved (Chebyshev)"
     assert rep.defects is None and rep.alexander is None
     assert rep.betti is None and rep.conjectures == []
 
@@ -189,8 +223,11 @@ def test_cache_key_sensitivity(monkeypatch):
     assert cache_key(f, RankConfig(seed=1)) != base
     assert cache_key(f, RankConfig(seed=0, primes=5)) != base
     assert cache_key(g, RankConfig(seed=0)) != base
-    # the certification cutoffs decide method, exact_verified and certified
-    for name in ("EXACT_FALLBACK_COLS", "EXACT_VERIFY_COLS"):
+    # the route decides which proofs are tried
+    assert cache_key(f, RankConfig(seed=0), canonical_spec(3, 4)) != base
+    # the certification cutoffs decide method, proof and certified, and an
+    # entry of another layout is never looked up
+    for name in ("EXACT_FALLBACK_COLS", "EXACT_VERIFY_COLS", "ORACLE_SIDE", "ENTRY_SCHEMA"):
         with monkeypatch.context() as patch:
             patch.setattr(cache_module, name, 0)
             assert cache_key(f, RankConfig(seed=0)) != base, name
@@ -321,6 +358,96 @@ def test_analyze_stores_then_hits_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_module, "hilbert_function", refuse)
     again = analyze(f, config=config, cache=cache)
     assert again.to_json() == first.to_json()
+
+
+def test_cache_keeps_one_entry_per_route(tmp_path, monkeypatch):
+    # the three-prime entry of build(spec) is never served to
+    # analyze(chebyshev=spec), nor the one-prime oracle entry to analyze(f)
+    spec = canonical_spec(3, 4)
+    f = build(spec)
+    cache = HilbertCache(str(tmp_path))
+    config = RunConfig(seed=0)
+    by_poly = analyze(f, config=config, cache=cache)
+    by_spec = analyze(chebyshev=spec, config=config, cache=cache)
+    assert len(cache.entries()) == 2
+    assert by_poly.hilbert.dims == by_spec.hilbert.dims
+    assert [len(r.primes) for r in by_poly.hilbert.rank_details][6:] == [3] * 4
+    assert [len(r.primes) for r in by_spec.hilbert.rank_details][6:] == [1] * 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hilbert_function called on a cache hit")
+
+    monkeypatch.setattr(cache_module, "hilbert_function", refuse)
+    assert analyze(f, config=config, cache=cache).to_json() == by_poly.to_json()
+    assert analyze(chebyshev=spec, config=config, cache=cache).to_json() == by_spec.to_json()
+
+
+def test_entry_of_an_earlier_schema_is_a_plain_miss(tmp_path):
+    # an entry written before ENTRY_SCHEMA 2, under the key of that layout
+    # (no route, schema or oracle cap in it), is never looked up
+    f = parse_polynomial("x0^3 + x1^3 + x2^3", num_vars=3)
+    cache = HilbertCache(str(tmp_path))
+    cfg = RankConfig(seed=0)
+    old_payload = {"polynomial": format_polynomial(f), "num_vars": 3, "primes": 3,
+                   "seed": 0, "exact_fallback_cols": 2000, "exact_verify_cols": 48}
+    old_key = hashlib.sha256(json.dumps(old_payload, sort_keys=True).encode()).hexdigest()
+    entry = cache_module._entry(hilbert_function(f, config=cfg))
+    entry["schema"] = 1
+    for rank in entry["rank_details"]:
+        del rank["proof"]
+    (tmp_path / f"{old_key}.json").write_text(json.dumps(entry))
+    assert cache_key(f, cfg) != old_key
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hf = cached_hilbert_function(f, cfg, cache)
+    assert hf.certified
+    assert cache.load(cache_key(f, cfg), 2, 3) == hf
+
+
+@pytest.mark.parametrize("source, want", [
+    ("C(3,4,-1)", "proved (Chebyshev)"),
+    ("CC(3,4)", "proved (Chebyshev)"),
+    ("CC(4,4)", "proved (Chebyshev)"),
+    ("kummer", "assumed"),
+    ("fermat", "assumed"),
+    ("cusp", "assumed"),
+])
+def test_nodality_is_proved_for_chebyshev_specs_only(pipeline, source, want):
+    reports = {
+        "C(3,4,-1)": lambda: pipeline.cc(3, 4, k=-1),
+        "CC(3,4)": lambda: pipeline.cc(3, 4),
+        "CC(4,4)": lambda: pipeline.cc(4, 4),
+        "kummer": lambda: pipeline.poly("kummer", KUMMER_TEXT, num_vars=4),
+        "fermat": lambda: pipeline.poly("fermat", FERMAT_TEXT, num_vars=4),
+        # the cuspidal cubic is not nodal: it must never read as proved
+        "cusp": lambda: pipeline.poly("cusp", "x1^2*x2 - x0^3", num_vars=3),
+    }
+    rep = reports[source]()
+    assert rep.nodality == want
+    assert rep.to_dict()["nodality"] == want
+    assert f"nodality: {want}" in rep.to_text().splitlines()
+
+
+def test_uncertified_report_names_its_strands():
+    # one prime proves no rank-deficient strand past EXACT_VERIFY_COLS of a
+    # polynomial input: Kummer's strands k = 6..9 (84 x 80 to 220 x 336)
+    f = parse_polynomial(KUMMER_TEXT, num_vars=4)
+    rep = analyze(f, config=RunConfig(seed=0, primes=1))
+    assert not rep.certified
+    assert rep.strands(None) == [6, 7, 8, 9]
+    assert rep.thresholds.tau == 16
+    assert [r.proof for r in rep.hilbert.rank_details[6:]] == [None] * 4
+    assert "uncertified strands: k = 6, 7, 8, 9" in rep.to_text().splitlines()
+    assert "certified: False" in rep.to_text().splitlines()
+
+
+def test_report_says_which_strands_are_past_the_oracle_cap(monkeypatch):
+    from milnor import hilbert
+    monkeypatch.setattr(hilbert, "ORACLE_SIDE", 0)
+    rep = analyze(chebyshev=canonical_spec(3, 4), config=RunConfig(seed=0))
+    assert rep.certified and rep.strands("agreement") == [6, 7, 8]
+    assert "past the oracle size cap, by prime agreement: k = 6, 7, 8" in \
+        rep.to_text().splitlines()
 
 
 def test_run_config_is_a_rank_config():
