@@ -5,6 +5,8 @@ Certified sparse rank: primes, and the proof of each rank
 Every Hilbert function value is a corank of a strand of the Jacobian ideal.
 Ranks are computed mod independently seeded 31-bit primes; a rank mod p
 can only undershoot the true rank, so the largest is a proved lower bound.
+Every strand is ranked at the first prime of its stream, and at the rest
+(up to RankConfig.primes) only when no proof covers it at that one.
 Each rank names its proof: "exact" (a strand of at most EXACT_VERIFY_COLS
 (48) columns, or of at most EXACT_FALLBACK_COLS (2000) whose primes
 disagree, is ranked exactly), "full-rank" (every piece reaches
@@ -49,6 +51,8 @@ partials = partial_derivatives(f, 4)
 # is cut into one piece per +-1 character of the group they generate
 # (blocks under SPLIT_CELLS cells are ranked whole).  Each proved
 # transposition carries the row and the column permutation it induces.
+# Strand 4 is small enough to rank exactly, which proves it at its first
+# prime; strands 6 and 8 are rank deficient and rest on three primes.
 pairs = [pair for pair, _, _ in jacobian_strand_matrix(partials, 0).symmetries]
 print(f"transpositions fixing the partials: {pairs}")
 for k in (4, 6, 8):
@@ -79,10 +83,10 @@ print(f"CC(3,5) strand k=13: {m.num_rows} x {m.num_cols},"
 print(f"  rank {res.rank}, modular ranks {res.ranks}, proof={res.proof}")
 print()
 
-# Given the spec, each strand of CC(3,5) is ranked at the first prime of
-# its stream.  Where exact elimination and full rank are not enough, the
-# node oracle proves the rank (every singular point of a Chebyshev
-# hypersurface is a node), so no strand needs the other two primes.
+# Given the spec, where exact elimination and full rank do not prove a
+# strand of CC(3,5) at its first prime, the node oracle proves the rank
+# (every singular point of a Chebyshev hypersurface is a node), so no
+# strand needs the other two primes.
 spec = canonical_spec(3, 5)
 hf = hilbert_function(build(spec), RankConfig(seed=0), chebyshev=spec)
 print("CC(3,5), oracle route: proof per strand k")

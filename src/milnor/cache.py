@@ -3,10 +3,10 @@
 The cache key hashes the canonical polynomial text together with every
 value that decides the stored ranks or their certificate: the prime count
 and seed of the RankConfig, the route ("oracle" for a Chebyshev spec, whose
-strands the node oracle proves at one prime, else "primes"), the linalg
-constants EXACT_FALLBACK_COLS, EXACT_VERIFY_COLS and ORACLE_SIDE (which
-decide method, proof and certified), each under its own name, and
-ENTRY_SCHEMA, so an entry of another layout is never looked up.  Changing
+strands the node oracle can prove, else "primes"), the linalg constants
+EXACT_FALLBACK_COLS, EXACT_VERIFY_COLS and ORACLE_SIDE (which decide proof
+and certified), each under its own name, and ENTRY_SCHEMA, so an entry of
+another layout or prime schedule is never looked up.  Changing
 any of these values gives a different entry.  Entries are small JSON
 objects, one file each.  A file is corrupt
 unless its dims and rank details are T+2 ints and records, and its ranks
@@ -29,7 +29,7 @@ from .linalg import (EXACT_FALLBACK_COLS, EXACT_VERIFY_COLS, ORACLE_SIDE,
 from .poly import SparsePolynomial, format_polynomial
 
 CACHE_ENV = "MILNOR_CACHE_DIR"
-ENTRY_SCHEMA = 2
+ENTRY_SCHEMA = 3
 
 
 def default_cache_dir() -> str:
@@ -66,8 +66,7 @@ def _read_entry(path: str) -> HilbertFunction:
     if not (isinstance(dims, list) and all(type(v) is int for v in dims)
             and len(dims) == len(data["rank_details"]) == size):
         raise ValueError(f"dims and rank_details must be {size} ints and records")
-    details = [RankResult(rank=r["rank"], primes=r["primes"], ranks=r["ranks"],
-                          method=r["method"], proof=r["proof"])
+    details = [RankResult(r["rank"], r["primes"], r["ranks"], r["proof"])
                for r in data["rank_details"]]
     hf = HilbertFunction.from_ranks(data["n"], data["d"], details)
     if _entry(hf) != data:

@@ -57,9 +57,9 @@ def _common_flags() -> argparse.ArgumentParser:
     defaults = RunConfig()
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--primes", type=int, default=defaults.primes, metavar="N",
-                   help="random 31-bit primes per strand rank; a Chebyshev "
-                        "strand ranks the rest only where the first prime "
-                        "leaves it unproved (default %(default)s)")
+                   help="most random 31-bit primes per strand rank: every "
+                        "strand is ranked at one, and at the rest only where "
+                        "no proof covers it at the first (default %(default)s)")
     p.add_argument("--seed", type=int, default=defaults.seed,
                    help="seed for the prime stream (default %(default)s)")
     p.add_argument("--max-degree", type=int, default=defaults.max_degree,
@@ -274,9 +274,12 @@ def _cmd_defects(args) -> int:
     if args.oracle:
         if spec is None or not spec.singular:
             raise CommandError("--oracle needs a singular --cc input")
-        ocfg = OracleConfig(seed=config.seed)
-        oracle = {k: defect_direct(spec.n, spec.d, k, k_shift=spec.k,
-                                   config=ocfg) for k, _ in defects}
+        # the oracle proved strand j by giving the defect in degree T - j,
+        # so only the other degrees are evaluated here
+        proved = {report.hilbert.T - j for j in report.strands("oracle")}
+        oracle = {k: v if k in proved else defect_direct(
+            spec.n, spec.d, k, k_shift=spec.k, config=OracleConfig(seed=config.seed))
+            for k, v in defects}
         mismatches = [k for k, v in defects if oracle[k] != v]
 
     if args.format == "csv":

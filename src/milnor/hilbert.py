@@ -17,10 +17,12 @@ excess over the smooth reference that thresholds and koszul_hn_dim use.
 For a Chebyshev hypersurface C(n,d,k), whose singular points are all nodes,
 every value is also proved by the node oracle: with N the node set,
 dim M(f)_j = dim M(f_s)_j + defect S_(T-j)(N) for 0 <= j <= T, and
-dim M(f)_(T+1) = |N| (milnor.topology).  hilbert_function(chebyshev=spec)
-therefore ranks each strand at the first prime of its stream and asks the
-oracle (_oracle_rank) for the strand's proved rank only where neither exact
-elimination nor full rank proves it; see linalg.certified_rank.
+dim M(f)_(T+1) = |N| (milnor.topology).  Every strand, of any input, is
+ranked at the first prime of its stream; hilbert_function(chebyshev=spec)
+asks the oracle (_oracle_rank) for the strand's proved rank only where
+neither exact elimination nor full rank proves it there, and only a strand
+that no proof covers is ranked at the rest of its stream; see
+linalg.certified_rank.
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 
 The degree-k strand of a Jacobian ideal is the linear map
 (h_0, ..., h_n) -> sum h_i * f_i from (n+1) copies of the degree k-d+1
-graded piece into the degree-k piece.  Ranks are computed modulo several
-random 31-bit primes; ranks mod p never exceed the rational rank, so the
-maximum over primes is a proved lower bound.  Each RankResult names the
-proof of its rank.  "exact": a matrix of at most EXACT_VERIFY_COLS columns
-is ranked exactly by fraction-free elimination, and so is one of at most
+graded piece into the degree-k piece.  Ranks are computed modulo random
+31-bit primes drawn from a stream seeded per strand; ranks mod p never
+exceed the rational rank, so the maximum over primes is a proved lower
+bound.  Every strand is ranked at the first prime of its stream, and at
+the rest of it, up to the configured count, only when no proof covers the
+strand at that one prime.  Each RankResult names the proof of its rank,
+and the method and exact verification it reports are read off that
+proof.  "exact": a matrix of at most EXACT_VERIFY_COLS columns is ranked
+exactly by fraction-free elimination, and so is one of at most
 EXACT_FALLBACK_COLS columns whose primes disagree.  "full-rank": every
 piece reaches min(rows, cols) mod some prime.  "oracle": a modular rank
 reaches the rank the caller proved another way (for Chebyshev strands,
@@ -106,9 +110,9 @@ SPLIT_CELLS = 1 << 12
 # admits every degree of CC(4,6) (216 nodes; each degree takes at most
 # 0.05 s) and CC(4,7) at 486 x 210 (5.6 s), and keeps out CC(4,7) at
 # 486 x 330 (17.6 s) and 486 x 495 (57 s), on a 2-vCPU machine.
-# cache_key hashes all three, since they decide method, proof and
-# certified.  RankConfig refuses more than MAX_PRIMES primes: (2^30,
-# 2^31) holds only about 5e7.
+# cache_key hashes all three, since they decide proof and certified.
+# RankConfig refuses more than MAX_PRIMES primes: (2^30, 2^31) holds only
+# about 5e7.
 EXACT_VERIFY_COLS = 48
 EXACT_FALLBACK_COLS = 2000
 ORACLE_SIDE = 256
@@ -897,7 +901,9 @@ def rank_gaussian_field(rows: list[list], zero=None) -> int:
 class RankConfig:
     """The settable part of certified rank: prime count and seed.
 
-    Defaults match the CLI defaults; the cutoffs are module constants.
+    `primes` is the most primes a strand is ranked at: the first of its
+    stream always, the rest only when no proof covers the strand at the
+    first.  Defaults match the CLI defaults; the cutoffs are module constants.
     Primes are drawn as 31-bit values: the dense kernel needs p < 2^31 so
     that its int64 panel products stay below 2^62 and the halves of its
     left matmul factor give exact float64 products.
@@ -917,13 +923,13 @@ PROOFS = ("exact", "full-rank", "oracle", "agreement")
 
 @dataclass
 class RankResult:
-    """A rank, the primes ranked, the rank mod each, the deciding method
-    and the proof of the rank (one of PROOFS, or None: unproved)."""
+    """A rank, the primes ranked, the rank mod each, and the proof of the
+    rank (one of PROOFS, or None: unproved).  The method that decided it
+    and whether exact elimination verified it are read off the proof."""
 
     rank: int
     primes: list[int] = field(default_factory=list)
     ranks: list[int] = field(default_factory=list)
-    method: str = "sparse-elimination"
     proof: str | None = None
 
     def __post_init__(self):
@@ -936,20 +942,22 @@ class RankResult:
 
     @property
     def exact_verified(self) -> bool:
-        return self.method == "dense-fraction-free"
+        return self.proof == "exact"
+
+    @property
+    def method(self) -> str:
+        return "dense-fraction-free" if self.exact_verified else "sparse-elimination"
 
     @property
     def certified(self) -> bool:
         """The proof holds on the recorded ranks: exact elimination ran;
         full rank or the oracle proves the largest modular rank; or two or
         more primes all gave the rank."""
-        if self.proof == "exact":
-            return self.exact_verified
         if self.proof in ("full-rank", "oracle"):
             return self.rank == max(self.ranks, default=0)
         if self.proof == "agreement":
             return len(self.ranks) > 1 and set(self.ranks) == {self.rank}
-        return False
+        return self.exact_verified
 
     def to_dict(self) -> dict:
         """Fields and derived values, in a cache entry's key order."""
@@ -1025,32 +1033,30 @@ def certified_rank(matrix: StrandMatrix, config: RankConfig | None = None, *,
                    salt: str = "", oracle=None) -> RankResult:
     """Rank mod primes, with the proof that certifies it.
 
-    Draws `primes` distinct random 31-bit primes from the stream seeded by
-    seed and salt and ranks every piece mod all of them, as
-    ranks_mod_primes does, keeping each piece's ranks; _proved names the
-    proof.  `oracle`, when given, is a callable that returns the matrix's
-    rank proved another way, or None where it has none.  Then the first
-    prime of the stream is drawn and ranked alone.  A rank that exact
-    elimination or full rank proves is kept, and the oracle is not
-    called.  A modular rank equal to the oracle's is proved by it; one
-    above it raises ArithmeticError naming k and the prime.  Below it, or
-    when the oracle returns None, the rest of the stream is drawn and
-    ranked too; with the oracle's rank still unreached the largest modular
-    rank is kept, uncertified, never replaced by the oracle's.
+    Ranks every piece mod the first prime of the stream seeded by seed and
+    salt, as ranks_mod_primes does, keeping each piece's ranks; _proved
+    names the proof.  A rank that exact elimination or full rank proves is
+    kept at that one prime.  Otherwise `oracle`, when given, is called: a
+    callable that returns the matrix's rank proved another way, or None
+    where it has none.  A modular rank equal to the oracle's is proved by
+    it; one above it raises ArithmeticError naming k and the prime.  Below
+    it, or with no oracle's rank, the rest of the stream, up to `primes`,
+    is drawn and ranked too, the same primes that one draw of all of them
+    gives; with the oracle's rank still unreached the largest modular rank
+    is kept, uncertified, never replaced by the oracle's.
     """
     if config is None:
         config = RankConfig()
     if not matrix.nnz:  # no columns: rank 0 is min(rows, cols)
         return RankResult(rank=0, proof="full-rank")
     rng = random.Random(f"{config.seed}|{salt}")
-    primes = draw_distinct_primes(rng, 1 if oracle else config.primes)
+    primes = draw_distinct_primes(rng, 1)
     piece_ranks = _piece_ranks(matrix, primes)
     res = _proved(matrix, primes, piece_ranks)
-    if oracle is None or res.proof:
+    if res.proof:
         return res
-    target = oracle()
+    target = oracle() if oracle else None
     if (target is None or res.rank < target) and config.primes > 1:
-        # the rest of the same stream, as one draw of all of them gives
         rest = draw_distinct_primes(rng, config.primes - 1, exclude=primes)
         primes = primes + rest
         piece_ranks = [a + b for a, b in zip(piece_ranks, _piece_ranks(matrix, rest))]
@@ -1079,8 +1085,7 @@ def _proved(matrix: StrandMatrix, primes, piece_ranks, target: int | None = None
     best = [max(r) for r in piece_ranks]
     if matrix.num_cols <= EXACT_VERIFY_COLS or (
             target is None and len(set(ranks)) > 1 and matrix.num_cols <= EXACT_FALLBACK_COLS):
-        return RankResult(rank=rank_exact(matrix, best), primes=primes, ranks=ranks,
-                          method="dense-fraction-free", proof="exact")
+        return RankResult(rank_exact(matrix, best), primes, ranks, proof="exact")
     rank = max(ranks)
     if all(b == min(piece.num_rows, piece.num_cols)
            for (piece, _), b in zip(matrix.pieces, best, strict=True)):

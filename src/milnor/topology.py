@@ -88,12 +88,13 @@ class AlexanderPolynomial:
 
     sign: int
     exponent: int
-    trivial: bool
-    n: int
-    d: int
+
+    @property
+    def trivial(self) -> bool:
+        return self.exponent == 0
 
     def text(self) -> str:
-        if self.trivial or self.exponent == 0:
+        if self.trivial:
             return "1"
         base = "(t + 1)" if self.sign > 0 else "(t - 1)"
         return base if self.exponent == 1 else f"{base}^{self.exponent}"
@@ -109,11 +110,10 @@ def alexander_polynomial(report: ThresholdReport,
     n, d = report.n, report.d
     sign = 1 if (n + 1) % 2 == 0 else -1
     if (n * d) % 2 == 1:
-        return AlexanderPolynomial(sign=sign, exponent=0, trivial=True, n=n, d=d)
+        return AlexanderPolynomial(sign=sign, exponent=0)
     m = (n * d) // 2 - n - 1
     exponent = defects.entries.get(m, 0) if 0 <= m <= defects.T else 0
-    return AlexanderPolynomial(sign=sign, exponent=exponent,
-                               trivial=exponent == 0, n=n, d=d)
+    return AlexanderPolynomial(sign=sign, exponent=exponent)
 
 
 @dataclass

@@ -354,18 +354,22 @@ def test_parser_shared_across_calls_keeps_no_flags(capsys):
     # main() parses with one parser per process; the flags of one call must
     # not carry over to the next
     assert cli.build_parser() is cli.build_parser()
+    # a strand proved at its first prime lists that prime; the others, which
+    # rest on agreement, list --primes of them
     code, out, _ = run(["analyze", KUMMER_TEXT, "--no-nodal", "--primes", "5",
                         "--no-cache"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["defects"] is None and doc["alexander"] is None
+    drawn = {len(d["primes"]) for d in doc["certification"]["rank_details"] if d["primes"]}
+    assert drawn == {1, 5}
     code, out, _ = run(["analyze", KUMMER_TEXT, "--no-cache"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["defects"] is not None
     assert doc["alexander"]["text"] == "(t + 1)^6"
-    drawn = [d["primes"] for d in doc["certification"]["rank_details"] if d["primes"]]
-    assert drawn and all(len(primes) == 3 for primes in drawn)
+    drawn = {len(d["primes"]) for d in doc["certification"]["rank_details"] if d["primes"]}
+    assert drawn == {1, 3}
 
 
 # -- bytes pinned across refactors of the CLI -----------------------------------
@@ -389,6 +393,26 @@ def test_defects_oracle_frozen_bytes(fmt, capsys):
     blob = out.encode()
     assert (hashlib.sha256(blob).hexdigest(), len(blob)) == \
         _DEFECTS_CC34_ORACLE[fmt]
+
+
+def test_defects_oracle_evaluates_each_degree_once(monkeypatch, capsys):
+    # the strand route already evaluated the oracle in the degrees whose
+    # strands it proves; the cross-check takes those from the report
+    from milnor import nodes
+    degrees = []
+
+    def wrap(fn):
+        def counting(n, d, degree, *args, **kwargs):
+            degrees.append(degree)
+            return fn(n, d, degree, *args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(nodes, "defect_direct", wrap(nodes.defect_direct))
+    monkeypatch.setattr(cli, "defect_direct", wrap(cli.defect_direct))
+    code, out, _ = run(["defects", "--cc", "3,6", "--oracle", "--no-cache",
+                        "--format", "text"], capsys)
+    assert code == 0 and "oracle agrees on all degrees" in out
+    assert sorted(degrees) == list(range(17))  # T = 16
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

@@ -239,6 +239,21 @@ def test_oracle_route_ranks_one_prime_where_a_proof_covers_the_strand(monkeypatc
         assert res.primes in ([], stream[:1]), k
         cols = jacobian_strand_matrix(partial_derivatives(f, 5), k).num_cols
         assert (proofs[k] == "exact") == (0 < cols <= linalg.EXACT_VERIFY_COLS), k
+    # any other input has the same schedule with no oracle to ask: a strand
+    # proved at its first prime lists that prime alone, and only a strand
+    # that no proof covers there is ranked at the rest of its stream
+    kummer = hilbert_function(parse_polynomial(KUMMER, num_vars=4), config=config)
+    assert kummer.certified
+    assert [(len(r.primes), r.proof) for r in kummer.rank_details] == \
+        [(0, "full-rank")] * 3 + [(1, "exact")] * 3 + [(3, "agreement")] * 4
+    for k, res in enumerate(kummer.rank_details):
+        stream = draw_distinct_primes(random.Random(f"0|strand-{k}"), 3)
+        assert res.primes == stream[:len(res.primes)], k
+    fermat = hilbert_function(parse_polynomial("x0^4 + x1^4 + x2^4 + x3^4", num_vars=4),
+                              config=config)
+    assert fermat.certified
+    assert max(len(r.primes) for r in fermat.rank_details) == 1
+    assert asked == list(range(8, 14))
 
 
 def test_oracle_route_smooth_shift_has_the_smooth_hilbert_function():

@@ -4,7 +4,7 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -1035,25 +1035,38 @@ def test_certification_is_read_off_the_ranks():
     assert not modular.agreement and not modular.certified
     assert replace(modular, proof="oracle").certified
     assert not replace(modular, rank=4, proof="oracle").certified
-    assert not replace(modular, proof="exact").certified
-    exact = replace(modular, method="dense-fraction-free", proof="exact")
+    # the proof is the one record of how the rank was decided: the method
+    # and the exact verification are read off it, and cannot be set apart
+    assert modular.method == "sparse-elimination" and not modular.exact_verified
+    exact = replace(modular, proof="exact")
     assert exact.exact_verified and exact.certified and not exact.agreement
+    assert exact.method == "dense-fraction-free"
+    assert [f.name for f in fields(RankResult)] == ["rank", "primes", "ranks", "proof"]
+    with pytest.raises(TypeError, match="method"):
+        RankResult(rank=3, method="dense-fraction-free")
     with pytest.raises(ValueError, match="unknown proof"):
         RankResult(rank=3, proof="trusted")
 
 
 def test_disagreement_falls_back_to_exact():
     # the first prime of the seed-0 "esc" stream kills the only entry, so
-    # it alone ranks 0 and the primes disagree
-    (p0,) = draw_distinct_primes(random.Random("0|esc"), 1)
-    res = certified_rank(StrandMatrix(1, 1, [0], [0], [p0]), RankConfig(seed=0),
-                         salt="esc")
-    assert res.primes[0] == p0
+    # it alone ranks 0.  Past EXACT_VERIFY_COLS columns that first prime
+    # proves nothing, the rest of the stream is drawn, and the primes disagree
+    stream = draw_distinct_primes(random.Random("0|esc"), RankConfig().primes)
+    p0 = stream[0]
+    past_verify = StrandMatrix(1, linalg.EXACT_VERIFY_COLS + 1, [0], [0], [p0])
+    res = certified_rank(past_verify, RankConfig(seed=0), salt="esc")
+    assert res.primes == stream
     assert res.ranks == [0, 1, 1]
-    assert len(res.primes) == RankConfig().primes
     assert not res.agreement
     assert res.rank == 1 and res.certified and res.exact_verified
-    assert res.method == "dense-fraction-free"
+    assert res.proof == "exact" and res.method == "dense-fraction-free"
+    # at most EXACT_VERIFY_COLS columns, exact elimination proves the rank
+    # at the first prime, whatever that prime gives
+    res = certified_rank(StrandMatrix(1, 1, [0], [0], [p0]), RankConfig(seed=0),
+                         salt="esc")
+    assert res.primes == [p0] and res.ranks == [0]
+    assert res.rank == 1 and res.proof == "exact" and res.certified
     # past EXACT_FALLBACK_COLS columns there is no exact fallback: the
     # maximum is reported, uncertified, unless every piece reaches full
     # rank mod some prime, which proves it
@@ -1097,11 +1110,11 @@ def test_certified_rank_determinism_and_exact_verify():
     r1 = certified_rank(sm, RankConfig(seed=42), salt="strand-3")
     r2 = certified_rank(sm, RankConfig(seed=42), salt="strand-3")
     assert r1 == r2
-    assert r1.certified and r1.agreement
-    assert len(r1.primes) == len(set(r1.primes)) == 3
+    # small matrices are ranked exactly by fraction-free elimination, which
+    # proves the rank at the first prime of the stream: no other is drawn
+    assert r1.certified and r1.exact_verified
+    assert r1.primes == draw_distinct_primes(random.Random("42|strand-3"), 1)
     assert all(1 << 30 < p < 1 << 31 for p in r1.primes)
-    # small matrices get an exact fraction-free confirmation pass
-    assert r1.exact_verified
     assert r1.rank == rank_exact(sm)
     r3 = certified_rank(sm, RankConfig(seed=43), salt="strand-3")
     assert r3.rank == r1.rank
@@ -1151,22 +1164,23 @@ def test_bad_prime_denominator_rejected():
 
 def test_prime_dividing_a_denominator_is_ranked():
     # the first prime of the seed-0 stream divides the only denominator;
-    # the entry is stored scaled to 1, so that prime is ranked like the
-    # next two draws
+    # the entry is stored scaled to 1, so that prime is ranked like any
+    # other, and it proves the rank alone
     drawn = draw_distinct_primes(random.Random("0|"), 3)
     p0 = drawn[0]
     sm = StrandMatrix(1, 1, [0], [0], [Fraction(1, p0)])
     res = certified_rank(sm, RankConfig(seed=0))
-    assert res.primes == drawn
-    assert res.ranks == [1, 1, 1] and res.rank == 1 and res.agreement
+    assert res.primes == [p0] and res.ranks == [1]
+    assert res.rank == 1 and res.certified
     assert rank_mod_p(sm, p0) == 1
     # diag(1, 1/p0) is stored as diag(p0, 1): p0 kills an entry and drops
-    # the rank, so the primes disagree and the exact path certifies 2
-    sm = StrandMatrix(2, 2, [0, 1], [0, 1], [1, Fraction(1, p0)])
+    # the rank.  Past EXACT_VERIFY_COLS columns that leaves the strand
+    # unproved, the next two draws rank 2, and the exact fallback certifies 2
+    sm = StrandMatrix(2, linalg.EXACT_VERIFY_COLS + 1, [0, 1], [0, 1], [1, Fraction(1, p0)])
     assert sm.values.tolist() == [p0, 1]
     assert rank_mod_p(sm, p0) == 1
     res = certified_rank(sm, RankConfig(seed=0))
-    assert res.primes[0] == p0 and res.ranks[:3] == [1, 2, 2]
+    assert res.primes == drawn and res.ranks == [1, 2, 2]
     assert not res.agreement
     assert res.rank == 2 == rank_exact(sm)
     assert res.certified and res.exact_verified

@@ -53,24 +53,24 @@ FROZEN_SEED0 = {
     # source: (text or Chebyshev spec, report sha256 and size, cache key,
     # entry sha256 and size)
     "kummer": (KUMMER_TEXT,
-               "e1d6b1e0f8d1e55fd85c33149730ef52e438f83e411daa5c6daea40a86fc88be", 5296,
-               "3ec2156df405755b2b7e61cc0d30c374e9fda27c0f814242a2bd04e19ce5855a",
-               "fe4a4e7ecd316a69da3633302eee7327eaf97071b58af64b945f8b61d85b1fac", 2038),
+               "5cb6c9f7929ee2ddf7de3d42ff71c1174f5b816ea26507688bc1d4f1f8916996", 5082,
+               "34a55c68e7d1bfa88c639106fab53417c8b52c84fcfca246d2e6f064607c29df",
+               "aa733023148eb4c71fc588bd70923f527e920ffd1e9223ac04e63bd3cbce45dc", 1944),
     # the smooth branch: stable value 0, no ct or mdr
     "fermat": (FERMAT_TEXT,
-               "71440179b0533383b9cdae74a92dff564fb12bdb9ec3211ebc492a8ed6a4e522", 5298,
-               "a464086f14ae4075374b368c27215c7bf423fec191785fff1f804c8146557fc1",
-               "dfdd12d173d6dee34d15fa4ca556c2b4c42d111af4b2c9ffdd7666259780dee1", 2033),
+               "f4f792bf2820e13f7b4a55aae10d96a3e0086328397cfcda8995158aa06ab2bb", 4790,
+               "987d564d3428d6f4c31dfd593a4d8f4601278a5bda37ccd0e4b1875915377570",
+               "6eb87086bec86d39c296adb82a10e130ebd0fe2301ae18d82a4dfe6818ca584f", 1805),
     # many dense pieces and primes to a rank call, and pieces of several
     # panels: 560 x 880 at k=13 cut into 308 x 470 and 252 x 410
     "CC(3,5)": (canonical_spec(3, 5),
-                "48d2f000e0b851b00ecbd689e4cf4a06dc3c44ecba7b4554869fa3c239ff3b8c", 6549,
-                "589d3dedec5f1eaf9b23fb58779b2abe92aa342b45ef2ab91a58183270734dba",
-                "3fa831efc208613f4f440c8822a9c61a0b12577f2a2e105429f0ea7f527e9078", 2829),
+                "f9fee625cd0988c3f5defd8e64e18b295023262cf25ebe879db440c3f0483b4f", 6263,
+                "ac2f12e64cf57d64bb93fb289f0d7d0b460209f5bf2e255827975109caeacd1d",
+                "7ec668b9a7acc4f72606ed4cdbb7bf863d0e92b5b1547c5c961754197a96f2f0", 2703),
     "CC(4,4)": (canonical_spec(4, 4),
-                "ce058127eabdf6c6832953e263eef9ee5a5e0184f33dd7835d7e0a4fe86ddf20", 5992,
-                "973282b0cb6180bb2f2f4e7d7a4be7f1f86b8d925ed6209bfc20933863a7e203",
-                "eb57a6950d54f98142e6bb2654b0522ca2b5985dee51046d2f7e7e5b084d849a", 2470),
+                "2cb4b1448f47ef1e4e6c02009d6a4e54fa8f2a0ef5dd744c3b50777f83946d29", 5778,
+                "a3dfed8a944db7663410fc6c9cb29c1851b983e3250cc2c7b0a966bc144e82a3",
+                "393b1686fc2d2f4b7adc990726f22ffc9adaa337f6729adacf3b7d93bb451b99", 2376),
 }
 
 
@@ -102,12 +102,12 @@ FROZEN_ORACLE_SEED0 = {
     # exact elimination, full rank or the node oracle
     "CC(3,5)": (canonical_spec(3, 5),
                 "f3218fbfb122bf9a99f5dcd0e7d32ec272a24ff98191780727c320aff0e2d0be", 5934,
-                "433f2fb8e7d738629242b1ea49b7414973a32800750fb77c4f39cef1bd7199db",
-                "d089623f4ac7493babed779c08253fb5a5a90c17679b211ff64832f7826d79f3", 2481),
+                "d5c7c901b30526c7d83eadcf291526a9305ca3397002b89310f152710cecaffc",
+                "ba6a1779916312f733cc6382d97cfc166bf2ede43dd504bb36106a22d0a0f28e", 2481),
     "CC(4,4)": (canonical_spec(4, 4),
                 "03449ccf9b4b96fccbfdf2e943c278cb209e38b411c2381b50434e05541b0993", 5831,
-                "453fe343e3472e145431762195d54ca41af45d7eab15d07fee82e92b69756ec0",
-                "2b05a182d35c7b58559795280920eee38fa9dafcfccd6ce4f178e250e0c42b99", 2152),
+                "8b08aedf7c53e90810db7fb7d64fe95f03f88fa3b48b44eda9755fbb1960c5ae",
+                "47631805efb913e1d55e88ceadaebfeea2730685f8e89e2151d1c52d78050b61", 2152),
 }
 
 
@@ -225,7 +225,7 @@ def test_cache_key_sensitivity(monkeypatch):
     assert cache_key(g, RankConfig(seed=0)) != base
     # the route decides which proofs are tried
     assert cache_key(f, RankConfig(seed=0), canonical_spec(3, 4)) != base
-    # the certification cutoffs decide method, proof and certified, and an
+    # the certification cutoffs decide proof and certified, and an
     # entry of another layout is never looked up
     for name in ("EXACT_FALLBACK_COLS", "EXACT_VERIFY_COLS", "ORACLE_SIDE", "ENTRY_SCHEMA"):
         with monkeypatch.context() as patch:
@@ -276,6 +276,8 @@ def test_cache_entry_missing_field_skipped(tmp_path):
                  id="ranks-disagree"),
     pytest.param(lambda data: data["rank_details"][3].update(exact_verified=False),
                  id="exact-verified-flipped"),
+    pytest.param(lambda data: data["rank_details"][3].update(method="sparse-elimination"),
+                 id="method-flipped"),
 ])
 def test_cache_entry_of_wrong_length_is_recomputed(tmp_path, edit):
     # the entry still parses, but it is not the record its ranks make: dims
